@@ -10,10 +10,10 @@ numerically.
 """
 
 from .assembly import AssembledSystem, assemble, export_system, rayleigh
-from .coefficients import (CATALOG_NAMES, REFERENCE_VALUES,
+from .coefficients import (CATALOG_NAMES, REFERENCE_VALUES, ElementTable,
                            ProblemCoefficients, catalog,
                            check_assumptions, coefficients_from_json,
-                           element_stats)
+                           element_stats, element_table)
 from .eigensolver import (ConvergenceStudy, EigenSolution, PropertyReport,
                           convergence_study, property_suite, solve_smallest)
 from .element_geometry import (ElementGeometry, element_geometry,
@@ -45,6 +45,7 @@ __all__ = [
     "AssembledSystem", "assemble", "export_system", "rayleigh",
     "CATALOG_NAMES", "REFERENCE_VALUES", "ProblemCoefficients", "catalog",
     "check_assumptions", "coefficients_from_json", "element_stats",
+    "ElementTable", "element_table",
     "ConvergenceStudy", "EigenSolution", "PropertyReport",
     "convergence_study", "property_suite", "solve_smallest",
     "ElementGeometry", "element_geometry", "max_metric_angle",

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .coefficients import ProblemCoefficients, element_stats
-from .element_geometry import element_geometry, quadrature_barycentric
-from .errors import CoefficientError
+from .coefficients import ProblemCoefficients, element_table
+from .element_geometry import quadrature_barycentric
 from .mesh import SimplicialMesh
 from .sparse_linalg import build_csr, save_matrix_market
 
@@ -47,78 +46,45 @@ class AssembledSystem:
 
 
 def assemble(mesh: SimplicialMesh, coeffs: ProblemCoefficients) -> AssembledSystem:
-    """Assemble stiffness and mass matrices over interior vertices."""
-    if coeffs.dim != mesh.dim:
-        raise CoefficientError(
-            f"coefficient dimension {coeffs.dim} != mesh dimension {mesh.dim}"
-        )
+    """Assemble stiffness and mass matrices over interior vertices.
+
+    Local matrices of all elements are formed at once from the element
+    table and scattered as COO triplets in element order.
+    """
+    t = element_table(mesh, coeffs)
     d = mesh.dim
     n = mesh.n_interior
-    bary, wref = quadrature_barycentric(d)
+    bary, _ = quadrature_barycentric(d)
+    vol = t.geom.volume
+    w = t.quad_weights
+    G = t.geom.grad_basis
+    GT = np.swapaxes(G, -1, -2)
 
-    rows_A, cols_A, vals_A = [], [], []
-    vals_D, vals_R = [], []
-    rows_B, cols_B, vals_B = [], [], []
-    b_lumped = np.zeros(n)
+    local_D = vol[:, None, None] * (G @ t.D_K @ GT)
+    # local_C[K, j, k] = sum_q w_q phi_j(x_q) (b(x_q) . grad phi_k)
+    local_C = np.swapaxes(bary * w[:, :, None], -1, -2) @ (t.convection_q @ GT)
+    local_R = bary.T @ (bary * (w * t.reaction_q)[:, :, None])
+    local_eff = bary.T @ (bary * (w * (t.reaction_q - 0.5 * t.divergence_q))[:, :, None])
+    local_A = local_D + local_C + local_R
+    mass_off = vol * (1.0 / ((d + 1) * (d + 2)))
+    local_B = mass_off[:, None, None] * (1.0 + np.eye(d + 1))
 
-    mass_off = 1.0 / ((d + 1) * (d + 2))
-    for K in range(mesh.n_elements):
-        elem = mesh.elements[K]
-        X = mesh.vertices[elem]
-        geom = element_geometry(X)
-        stats = element_stats(coeffs, mesh, K)
-        vol = geom.volume
-        w = wref * vol
-        pts = bary @ X
-
-        G = geom.grad_basis
-        local_D = vol * (G @ stats.D_K @ G.T)
-
-        bq = np.array([coeffs.convection(p) for p in pts])
-        cq = np.array([float(coeffs.reaction(p)) for p in pts])
-        rq = cq - 0.5 * np.array(
-            [float(coeffs.convection_divergence(p)) for p in pts]
-        )
-        # local_C[j, k] = sum_q w_q phi_j(x_q) (b(x_q) . grad phi_k)
-        local_C = (bary * w[:, None]).T @ (bq @ G.T)
-        local_R = bary.T @ (bary * (w * cq)[:, None])
-        local_eff = bary.T @ (bary * (w * rq)[:, None])
-        local_A = local_D + local_C + local_R
-
-        local_B = np.full((d + 1, d + 1), vol * mass_off)
-        np.fill_diagonal(local_B, 2.0 * vol * mass_off)
-
-        idx = mesh.interior_index[elem]
-        for a in range(d + 1):
-            ia = idx[a]
-            if ia < 0:
-                continue
-            b_lumped[ia] += vol / (d + 1)
-            for b in range(d + 1):
-                ib = idx[b]
-                if ib < 0:
-                    continue
-                rows_A.append(ia)
-                cols_A.append(ib)
-                vals_A.append(local_A[a, b])
-                vals_D.append(local_D[a, b])
-                vals_R.append(local_eff[a, b])
-                rows_B.append(ia)
-                cols_B.append(ib)
-                vals_B.append(local_B[a, b])
-
-    A = build_csr(n, n, rows_A, cols_A, vals_A)
-    A_diff = build_csr(n, n, rows_A, cols_A, vals_D)
-    eff = build_csr(n, n, rows_A, cols_A, vals_R)
-    B = build_csr(n, n, rows_B, cols_B, vals_B)
+    idx = mesh.interior_index[mesh.elements]
+    rows = np.broadcast_to(idx[:, :, None], local_A.shape)
+    cols = np.broadcast_to(idx[:, None, :], local_A.shape)
+    keep = (rows >= 0) & (cols >= 0)
+    rows, cols = rows[keep], cols[keep]
+    inner = idx >= 0
+    b_lumped = np.bincount(idx[inner], minlength=n,
+                           weights=np.broadcast_to((vol / (d + 1))[:, None], idx.shape)[inner])
     b_lumped.setflags(write=False)
     return AssembledSystem(
         n=n,
-        A=A,
-        B=B,
+        A=build_csr(n, n, rows, cols, local_A[keep]),
+        B=build_csr(n, n, rows, cols, local_B[keep]),
         B_lumped=b_lumped,
-        A_diffusion=A_diff,
-        effective_reaction=eff,
+        A_diffusion=build_csr(n, n, rows, cols, local_D[keep]),
+        effective_reaction=build_csr(n, n, rows, cols, local_eff[keep]),
         mesh_ref=mesh.label,
         coeffs_ref=coeffs.label,
     )

@@ -13,8 +13,7 @@ Three subcommands:
 
 Exit codes: 0 success/certified, 1 configuration or I/O error, 2 weak
 pass only, 3 condition failure, 4 solver failure.  Every output file
-embeds the run configuration.  ``EIGENFEM_THREADS`` caps the number of
-worker threads used by ``converge``.
+embeds the run configuration.
 """
 
 from __future__ import annotations
@@ -113,7 +112,9 @@ def _write_csv(path: str, config: RunConfig, header: list, rows: list) -> None:
 def write_vtk(path: str, mesh: SimplicialMesh, point_values: np.ndarray,
               name: str = "principal") -> None:
     """Write a legacy ASCII VTK unstructured grid with one point scalar."""
-    assert point_values.shape == (mesh.n_vertices,)
+    if point_values.shape != (mesh.n_vertices,):
+        raise ValueError(f"expected {mesh.n_vertices} point values, got shape "
+                         f"{point_values.shape}")
     lines = ["# vtk DataFile Version 3.0",
              f"eigenfem {name} on {mesh.label}",
              "ASCII",
@@ -299,10 +300,8 @@ def cmd_converge(args) -> int:
     J_list = [int(s) for s in args.J.split(",")]
     config = RunConfig("converge", args.problem, args.mesh, J_list=tuple(J_list),
                        mass=args.mass, tol=args.tol, ref=args.ref, out=args.out)
-    workers = int(os.environ.get("EIGENFEM_THREADS", "1"))
     study = convergence_study(args.problem, args.mesh, J_list,
-                              reference=args.ref, mass=args.mass, tol=args.tol,
-                              n_workers=max(1, workers))
+                              reference=args.ref, mass=args.mass, tol=args.tol)
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for r in study.rows:
@@ -375,7 +374,7 @@ def main(argv=None) -> int:
         if args.command == "converge":
             return cmd_converge(args)
         return EXIT_CONFIG
-    except (MeshError, CoefficientError, OSError, ValueError, AssertionError) as exc:
+    except (MeshError, CoefficientError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (EigenSolveError, SingularMatrixError, NumericalFailureError) as exc:

@@ -17,7 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .element_geometry import check_spd, quadrature_points
+from .element_geometry import (ElementGeometry, check_spd, metric_angle_cosines,
+                               quadrature_average, quadrature_barycentric,
+                               simplex_geometry)
 from .errors import CoefficientError
 from .mesh import SimplicialMesh
 
@@ -30,10 +32,14 @@ Point = np.ndarray
 class ProblemCoefficients:
     """Coefficient functions of a single problem.
 
-    diffusion(x) returns a (d, d) SPD matrix, convection(x) a (d,) vector,
-    reaction(x) and convection_divergence(x) scalars.  convection_is_zero
-    declares b == 0 identically, which is what downstream symmetry checks
-    (the variational principle) key on; it is declared, not sampled.
+    Every callable takes points x of shape (..., d), one point (d,) or any
+    stack of them, and is called once per stack: diffusion(x) returns
+    (..., d, d) SPD matrices, convection(x) (..., d) vectors, reaction(x)
+    and convection_divergence(x) (...) scalars.  Results are broadcast to
+    those shapes, so a callable may return a constant whatever x holds.
+    convection_is_zero declares b == 0 identically, which is what downstream
+    symmetry checks (the variational principle) key on; it is declared, not
+    sampled.
     """
 
     label: str
@@ -47,6 +53,11 @@ class ProblemCoefficients:
     @property
     def is_symmetric(self) -> bool:
         return self.convection_is_zero
+
+
+def _evaluate(fn: Callable, x: np.ndarray, shape: tuple = ()) -> np.ndarray:
+    """fn(x) broadcast to x's leading axes followed by shape."""
+    return np.broadcast_to(np.asarray(fn(x), dtype=np.float64), x.shape[:-1] + shape)
 
 
 @dataclass(frozen=True)
@@ -64,19 +75,77 @@ class ElementCoefficientStats:
     c_sup: float
 
 
-def _sym_eig_range(D: np.ndarray) -> tuple[float, float]:
-    """Extreme eigenvalues of a small symmetric matrix.
+@dataclass(frozen=True)
+class ElementTable(ElementCoefficientStats):
+    """Geometry and coefficient data of N elements, all held as arrays.
+
+    The ElementCoefficientStats fields and geom (the batch geometry) carry
+    a leading axis N.  quad_points (N, q, d) and quad_weights (N, q) are the
+    degree-2 rule, weights including volumes; convection_q (N, q, d),
+    reaction_q and divergence_q (N, q) are the coefficients at those nodes;
+    cosines (N, d+1, d+1) are the metric dihedral-angle cosines under D_K.
+    """
+
+    geom: ElementGeometry
+    quad_points: np.ndarray
+    quad_weights: np.ndarray
+    convection_q: np.ndarray
+    reaction_q: np.ndarray
+    divergence_q: np.ndarray
+    cosines: np.ndarray
+
+
+def _sym_eig_range(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Extreme eigenvalues of a stack of small symmetric matrices.
 
     The 2x2 case uses the closed form so that constant-coefficient problems
     get exact values; 3x3 falls back to the symmetric eigensolver.
     """
-    if D.shape == (2, 2):
-        a, b, c = D[0, 0], D[0, 1], D[1, 1]
+    if D.shape[-2:] == (2, 2):
+        a, b, c = D[..., 0, 0], D[..., 0, 1], D[..., 1, 1]
         m = 0.5 * (a + c)
-        r = math.hypot(0.5 * (a - c), b)
+        r = np.hypot(0.5 * (a - c), b)
         return m - r, m + r
     w = np.linalg.eigvalsh(D)
-    return float(w[0]), float(w[-1])
+    return w[..., 0], w[..., -1]
+
+
+def _table(coeffs: ProblemCoefficients, X: np.ndarray) -> ElementTable:
+    """ElementTable of the simplices with vertex arrays X ((N, d+1, d))."""
+    d = X.shape[-1]
+    geom = simplex_geometry(X)
+    bary, wref = quadrature_barycentric(d)
+    pts, w = bary @ X, wref * geom.volume[:, None]
+    nq = len(wref)  # samples below are the nodes followed by the vertices
+
+    D_K = quadrature_average(w, check_spd(_evaluate(coeffs.diffusion, pts, (d, d))))
+    lam_min, lam_max = _sym_eig_range(D_K)
+    if np.any(lam_min <= 0.0):
+        raise CoefficientError("element-averaged diffusion matrix is not PD")
+
+    samples = np.concatenate([pts, X], axis=-2)
+    b = _evaluate(coeffs.convection, samples, (d,))
+    c = _evaluate(coeffs.reaction, samples)
+    div_b = _evaluate(coeffs.convection_divergence, pts)
+    return ElementTable(
+        geom=geom, quad_points=pts, quad_weights=w,
+        convection_q=b[..., :nq, :], reaction_q=c[..., :nq], divergence_q=div_b,
+        D_K=D_K, lambda_min_DK=lam_min, lambda_max_DK=lam_max,
+        b_sup=np.linalg.norm(b, axis=-1).max(axis=-1), c_sup=np.abs(c).max(axis=-1),
+        cosines=metric_angle_cosines(geom, D_K),
+    )
+
+
+def element_table(mesh: SimplicialMesh, coeffs: ProblemCoefficients) -> ElementTable:
+    """Geometry and coefficient data of every element of the mesh.
+
+    Raises CoefficientError as element_stats does, or on a dimension mismatch.
+    """
+    if coeffs.dim != mesh.dim:
+        raise CoefficientError(
+            f"coefficient dimension {coeffs.dim} != mesh dimension {mesh.dim}"
+        )
+    return _table(coeffs, mesh.vertices[mesh.elements])
 
 
 def element_stats(coeffs: ProblemCoefficients, mesh: SimplicialMesh, K: int) -> ElementCoefficientStats:
@@ -87,23 +156,10 @@ def element_stats(coeffs: ProblemCoefficients, mesh: SimplicialMesh, K: int) -> 
     """
     if not 0 <= K < mesh.n_elements:
         raise ValueError(f"element id {K} out of range")
-    X = mesh.vertices[mesh.elements[K]]
-    pts, w = quadrature_points(X)
-    vol = float(w.sum())
-
-    D_K = np.zeros((mesh.dim, mesh.dim))
-    for p, wq in zip(pts, w):
-        D_K += wq * check_spd(coeffs.diffusion(p))
-    D_K /= vol
-
-    lam_min, lam_max = _sym_eig_range(D_K)
-    if lam_min <= 0.0:
-        raise CoefficientError("element-averaged diffusion matrix is not PD")
-
-    samples = np.vstack([pts, X])
-    b_sup = max(float(np.linalg.norm(coeffs.convection(p))) for p in samples)
-    c_sup = max(abs(float(coeffs.reaction(p))) for p in samples)
-    return ElementCoefficientStats(D_K, lam_min, lam_max, b_sup, c_sup)
+    t = _table(coeffs, mesh.vertices[mesh.elements[K:K + 1]])
+    return ElementCoefficientStats(t.D_K[0], float(t.lambda_min_DK[0]),
+                                   float(t.lambda_max_DK[0]), float(t.b_sup[0]),
+                                   float(t.c_sup[0]))
 
 
 def check_assumptions(coeffs: ProblemCoefficients, points: np.ndarray) -> None:
@@ -112,13 +168,14 @@ def check_assumptions(coeffs: ProblemCoefficients, points: np.ndarray) -> None:
     Checks that D is SPD and that c - (1/2) div b >= -1e-12 at each point;
     raises CoefficientError on the first violation.
     """
-    for p in np.atleast_2d(points):
-        check_spd(coeffs.diffusion(p))
-        val = float(coeffs.reaction(p)) - 0.5 * float(coeffs.convection_divergence(p))
-        if val < -ASSUMPTION_TOL:
-            raise CoefficientError(
-                f"c - 0.5 div b = {val} < 0 at point {p.tolist()}"
-            )
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    check_spd(_evaluate(coeffs.diffusion, pts, (pts.shape[-1],) * 2))
+    val = _evaluate(coeffs.reaction, pts) - 0.5 * _evaluate(coeffs.convection_divergence, pts)
+    bad = np.flatnonzero(val < -ASSUMPTION_TOL)
+    if bad.size:
+        raise CoefficientError(
+            f"c - 0.5 div b = {val[bad[0]]} < 0 at point {pts[bad[0]].tolist()}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -141,32 +198,39 @@ def _constant_problem(label: str, D: np.ndarray, b: np.ndarray, c: float) -> Pro
     )
 
 
+def _sym2(a, b, c) -> np.ndarray:
+    """Stack of symmetric 2x2 matrices [[a, b], [b, c]] over the inputs' shape."""
+    a, b, c = np.broadcast_arrays(a, b, c)
+    return np.stack([np.stack([a, b], axis=-1), np.stack([b, c], axis=-1)], axis=-2)
+
+
 def _ex5_3_diffusion(x: Point) -> np.ndarray:
-    return np.array([
-        [1.0 + 0.05 * math.cos(math.pi * x[0]), 0.0],
-        [0.0, 1.0 + 0.05 * math.sin(math.pi * x[1])],
-    ])
+    x = np.asarray(x, dtype=np.float64)
+    return _sym2(1.0 + 0.05 * np.cos(math.pi * x[..., 0]), 0.0,
+                 1.0 + 0.05 * np.sin(math.pi * x[..., 1]))
+
+
+def _ex5_3_convection(x: Point) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    return np.stack([20.0 * (x[..., 1] - 0.5), -20.0 * (x[..., 0] - 0.5)], axis=-1)
 
 
 def _ex5_4_diffusion(x: Point) -> np.ndarray:
-    s = x[0] * x[1] * math.pi
-    return np.array([
-        [100.0 * (1.0 - 0.5 * math.sin(s)), 0.0],
-        [0.0, 1.0 + 0.5 * math.cos(s)],
-    ])
+    x = np.asarray(x, dtype=np.float64)
+    s = x[..., 0] * x[..., 1] * math.pi
+    return _sym2(100.0 * (1.0 - 0.5 * np.sin(s)), 0.0, 1.0 + 0.5 * np.cos(s))
 
 
 def _ex5_5_diffusion(x: Point, k: float) -> np.ndarray:
-    sx, sy = math.sin(x[0]), math.sin(x[1])
+    x = np.asarray(x, dtype=np.float64)
+    sx, sy = np.sin(x[..., 0]), np.sin(x[..., 1])
     theta = math.pi * sx * sy
-    ct, st = math.cos(theta), math.sin(theta)
+    ct, st = np.cos(theta), np.sin(theta)
     d1 = k * (1.0 - 0.5 * sx * sy)
-    d2 = 1.0 + 0.5 * math.cos(x[0]) * math.cos(x[1])
+    d2 = 1.0 + 0.5 * np.cos(x[..., 0]) * np.cos(x[..., 1])
     # R diag(d1, d2) R^T with R the rotation by theta.
-    return np.array([
-        [d1 * ct * ct + d2 * st * st, (d1 - d2) * ct * st],
-        [(d1 - d2) * ct * st, d1 * st * st + d2 * ct * ct],
-    ])
+    return _sym2(d1 * ct * ct + d2 * st * st, (d1 - d2) * ct * st,
+                 d1 * st * st + d2 * ct * ct)
 
 
 CATALOG_NAMES = ("ex5_1", "ex5_2", "ex5_3", "ex5_4", "ex5_5k10", "ex5_5k100", "laplace")
@@ -200,7 +264,7 @@ def catalog(name: str) -> ProblemCoefficients:
             label="ex5_3",
             dim=2,
             diffusion=_ex5_3_diffusion,
-            convection=lambda x: np.array([20.0 * (x[1] - 0.5), -20.0 * (x[0] - 0.5)]),
+            convection=_ex5_3_convection,
             reaction=lambda x: 1.0,
             convection_divergence=lambda x: 0.0,
             convection_is_zero=False,

@@ -93,7 +93,8 @@ def solve_smallest(system: AssembledSystem, k: int, mass: str = "consistent",
         ||A v - lambda B v|| / ||v|| <= tol * (max|A| + |lambda| max|B|)
     max_krylov : Krylov dimension, default max(60, 4k), capped at n
     """
-    assert k >= 1, "k must be at least 1"
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     n = system.n
     if n == 0:
         raise EigenSolveError("mesh has no interior vertices; nothing to solve")
@@ -261,7 +262,8 @@ def property_suite(solution: EigenSolution, system: AssembledSystem,
     measures each property on the computed pairs at fixed tolerances.
     """
     lam = solution.eigenvalues
-    assert len(lam) >= 1, "solution holds no eigenpairs"
+    if len(lam) == 0:
+        raise ValueError("solution holds no eigenpairs")
     l1 = complex(lam[0])
     a1 = abs(l1)
 
@@ -346,7 +348,7 @@ class ConvergenceStudy:
 
 def convergence_study(problem: str, mesh_kind: str, J_list,
                       reference: float | None = None, mass: str = "consistent",
-                      tol: float = 1e-10, n_workers: int = 1) -> ConvergenceStudy:
+                      tol: float = 1e-10) -> ConvergenceStudy:
     """Refinement study of lambda_1 on a family of structured meshes.
 
     J_list must be strictly increasing with at least 3 entries.  The error
@@ -356,8 +358,10 @@ def convergence_study(problem: str, mesh_kind: str, J_list,
     is 2 (consistent mass overshoots from above on these problems).
     """
     J_list = [int(J) for J in J_list]
-    assert len(J_list) >= 3, "need at least 3 refinement levels"
-    assert all(b > a for a, b in zip(J_list, J_list[1:])), "J_list must increase"
+    if len(J_list) < 3:
+        raise ValueError(f"need at least 3 refinement levels, got {len(J_list)}")
+    if any(b <= a for a, b in zip(J_list, J_list[1:])):
+        raise ValueError(f"J values must be strictly increasing, got {J_list}")
     if reference is None:
         if problem not in REFERENCE_VALUES:
             raise ValueError(f"no reference value known for problem {problem!r}")
@@ -381,12 +385,7 @@ def convergence_study(problem: str, mesh_kind: str, J_list,
                               float(err), None, under,
                               time.perf_counter() - t0)
 
-    if n_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=n_workers) as ex:
-            rows = list(ex.map(level, J_list))
-    else:
-        rows = [level(J) for J in J_list]
+    rows = [level(J) for J in J_list]
 
     out_rows = []
     for i, row in enumerate(rows):

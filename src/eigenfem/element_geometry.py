@@ -12,7 +12,7 @@ the map x -> D^{-1/2} x.
 
 from __future__ import annotations
 
-import itertools
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -28,7 +28,9 @@ SYMMETRY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ElementGeometry:
-    """Affine geometry of a single positively oriented simplex.
+    """Affine geometry of one positively oriented simplex, or of a batch.
+
+    Shapes are for one simplex; a batch adds its leading axes to each field.
 
     Attributes
     ----------
@@ -48,56 +50,64 @@ class ElementGeometry:
         equal to 1 / |grad_basis[j]|.
     """
 
-    volume: float
-    diameter: float
+    volume: float | np.ndarray
+    diameter: float | np.ndarray
     jacobian: np.ndarray
     grad_basis: np.ndarray
     inner_normals: np.ndarray
     altitudes_euclid: np.ndarray
 
 
-def element_geometry(X: np.ndarray) -> ElementGeometry:
-    """Geometry of the simplex with vertex rows X ((d+1, d), positive orientation)."""
+def simplex_geometry(X: np.ndarray) -> ElementGeometry:
+    """Geometry of a batch of positively oriented simplices with vertex
+    arrays X ((..., d+1, d)), with one determinant and inverse call."""
     X = np.asarray(X, dtype=np.float64)
-    d = X.shape[1]
-    if X.shape != (d + 1, d):
+    d = X.shape[-1]
+    if X.ndim < 2 or X.shape[-2] != d + 1:
         raise MeshError(f"expected {d + 1} vertices of dimension {d}")
-    V = (X[1:] - X[0]).T
-    det = float(np.linalg.det(V))
-    if det <= 0.0:
+    V = np.swapaxes(X[..., 1:, :] - X[..., :1, :], -1, -2)
+    det = np.linalg.det(V)
+    if np.any(det <= 0.0):
         raise MeshError("element is degenerate or negatively oriented")
     volume = det / math.factorial(d)
 
     # Barycentric coordinates lam_{1..d} solve V lam = x - v0, so their
     # gradients are the rows of V^{-1}; lam_0 = 1 - sum of the others.
     Vinv = np.linalg.inv(V)
-    grads = np.empty((d + 1, d))
-    grads[1:] = Vinv
-    grads[0] = -Vinv.sum(axis=0)
+    grads = np.concatenate([-Vinv.sum(axis=-2, keepdims=True), Vinv], axis=-2)
 
-    norms = np.linalg.norm(grads, axis=1)
+    norms = np.linalg.norm(grads, axis=-1)
     altitudes = 1.0 / norms
-    normals = -grads / norms[:, None]
-
-    diameter = 0.0
-    for a, b in itertools.combinations(range(d + 1), 2):
-        diameter = max(diameter, float(np.linalg.norm(X[a] - X[b])))
+    normals = -grads / norms[..., None]
+    a, b = np.triu_indices(d + 1, 1)
+    diameter = np.linalg.norm(X[..., a, :] - X[..., b, :], axis=-1).max(axis=-1)
 
     for arr in (V, grads, normals, altitudes):
         arr.setflags(write=False)
     return ElementGeometry(volume, diameter, V, grads, normals, altitudes)
 
 
+def element_geometry(X: np.ndarray) -> ElementGeometry:
+    """Geometry of the simplex with vertex rows X ((d+1, d), positive orientation)."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise MeshError(f"expected one simplex, got vertex array of shape {X.shape}")
+    g = simplex_geometry(X)
+    return dataclasses.replace(g, volume=float(g.volume), diameter=float(g.diameter))
+
+
 def check_spd(D: np.ndarray, what: str = "diffusion matrix") -> np.ndarray:
-    """Validate symmetry (within 1e-12 relative) and positive definiteness."""
+    """Validate symmetry (within 1e-12 relative) and positive definiteness
+    of one matrix (d, d) or of every matrix in a stack (..., d, d)."""
     D = np.asarray(D, dtype=np.float64)
-    if D.ndim != 2 or D.shape[0] != D.shape[1]:
+    if D.ndim < 2 or D.shape[-1] != D.shape[-2]:
         raise CoefficientError(f"{what} must be square, got shape {D.shape}")
-    scale = max(1.0, float(np.abs(D).max()))
-    if float(np.abs(D - D.T).max()) > SYMMETRY_TOL * scale:
+    DT = np.swapaxes(D, -1, -2)
+    scale = np.maximum(1.0, np.abs(D).max(axis=(-2, -1)))
+    if np.any(np.abs(D - DT).max(axis=(-2, -1)) > SYMMETRY_TOL * scale):
         raise CoefficientError(f"{what} is not symmetric")
     try:
-        np.linalg.cholesky(0.5 * (D + D.T))
+        np.linalg.cholesky(0.5 * (D + DT))
     except np.linalg.LinAlgError:
         raise CoefficientError(f"{what} is not positive definite") from None
     return D
@@ -107,19 +117,29 @@ def metric_angle_cosines(geom: ElementGeometry, D: np.ndarray) -> np.ndarray:
     """(d+1, d+1) matrix of metric dihedral-angle cosines between face pairs.
 
     Entry (j, k), j != k, is the cosine of the angle between faces j and k
-    in the D^{-1} geometry; the diagonal is set to 1.
+    in the D^{-1} geometry; the diagonal is set to 1.  For a batch geometry
+    and a stack of matrices D (..., d, d) the result is (..., d+1, d+1).
     """
     D = check_spd(D)
     Q = geom.inner_normals
-    G = Q @ D @ Q.T
-    s = np.sqrt(np.diag(G))
-    C = -G / np.outer(s, s)
-    np.fill_diagonal(C, 1.0)
+    G = Q @ D @ np.swapaxes(Q, -1, -2)
+    s = np.sqrt(np.diagonal(G, axis1=-2, axis2=-1))
+    C = -G / (s[..., :, None] * s[..., None, :])
+    diag = np.arange(Q.shape[-2])
+    C[..., diag, diag] = 1.0
     return np.clip(C, -1.0, 1.0)
 
 
-def _clamp_angle(a: float) -> float:
-    return min(max(a, ANGLE_CLAMP), math.pi - ANGLE_CLAMP)
+def angle_from_cos(c: np.ndarray) -> np.ndarray:
+    """Angles of the given cosines, clamped to [ANGLE_CLAMP, pi - ANGLE_CLAMP]."""
+    return np.clip(np.arccos(np.clip(c, -1.0, 1.0)), ANGLE_CLAMP, math.pi - ANGLE_CLAMP)
+
+
+def min_cosine(C: np.ndarray) -> np.ndarray:
+    """Smallest off-diagonal entry of cosine matrices (..., d+1, d+1),
+    the cosine of each element's largest angle."""
+    j, k = np.triu_indices(C.shape[-1], 1)
+    return C[..., j, k].min(axis=-1)
 
 
 def metric_dihedral_angle(geom: ElementGeometry, D: np.ndarray, j: int, k: int) -> float:
@@ -128,15 +148,12 @@ def metric_dihedral_angle(geom: ElementGeometry, D: np.ndarray, j: int, k: int) 
     if not (0 <= j <= d and 0 <= k <= d) or j == k:
         raise ValueError(f"face indices must be distinct and in 0..{d}")
     C = metric_angle_cosines(geom, D)
-    return _clamp_angle(math.acos(float(C[j, k])))
+    return float(angle_from_cos(C[j, k]))
 
 
 def max_metric_angle(geom: ElementGeometry, D: np.ndarray) -> float:
     """Largest dihedral angle of the element in the D^{-1} geometry."""
-    C = metric_angle_cosines(geom, D)
-    d = geom.grad_basis.shape[1]
-    c_min = min(float(C[j, k]) for j in range(d + 1) for k in range(j + 1, d + 1))
-    return _clamp_angle(math.acos(c_min))
+    return float(angle_from_cos(min_cosine(metric_angle_cosines(geom, D))))
 
 
 def metric_altitudes(geom: ElementGeometry, D: np.ndarray) -> np.ndarray:
@@ -144,11 +161,11 @@ def metric_altitudes(geom: ElementGeometry, D: np.ndarray) -> np.ndarray:
 
     The altitude from vertex j scales like the Euclidean one divided by the
     length of the unit gradient direction under D, so that the stiffness
-    identity below holds exactly.
+    identity below holds exactly.  Batches work as in metric_angle_cosines.
     """
     D = check_spd(D)
     Q = geom.inner_normals
-    stretch = np.sqrt(np.einsum("jd,de,je->j", Q, D, Q))
+    stretch = np.sqrt(np.einsum("...jd,...de,...je->...j", Q, D, Q))
     return geom.altitudes_euclid / stretch
 
 
@@ -201,10 +218,16 @@ def quadrature_points(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Physical quadrature nodes and weights for the simplex with vertices X.
 
     Weights include the element volume, so sum(w * f(nodes)) approximates
-    the integral of f over the element and is exact for quadratics.
+    the integral of f over the element and is exact for quadratics.  X may
+    be a batch (..., d+1, d); nodes are then (..., q, d) and weights (..., q).
     """
     X = np.asarray(X, dtype=np.float64)
-    dim = X.shape[1]
-    bary, w = quadrature_barycentric(dim)
-    geom_vol = element_geometry(X).volume
-    return bary @ X, w * geom_vol
+    bary, w = quadrature_barycentric(X.shape[-1])
+    return bary @ X, w * np.expand_dims(simplex_geometry(X).volume, -1)
+
+
+def quadrature_average(w: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Average sum_q w_q F_q / sum_q w_q of matrices F (..., q, d, d) with
+    weights w (..., q), summed node by node as a scalar loop would."""
+    total = sum(w[..., q, None, None] * F[..., q, :, :] for q in range(w.shape[-1]))
+    return total / w.sum(axis=-1)[..., None, None]

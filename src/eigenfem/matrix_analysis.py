@@ -29,7 +29,8 @@ DENSE_PD_LIMIT = 600
 
 
 def _as_csr(A) -> csr_matrix:
-    assert issparse(A), "expected a scipy sparse matrix"
+    if not issparse(A):
+        raise ValueError(f"expected a scipy sparse matrix, got {type(A).__name__}")
     # Copy so canonicalization (and any downstream in-place structure
     # edits) can never mutate the caller's matrix.
     M = csr_matrix(A, copy=True)
@@ -55,7 +56,8 @@ def z_matrix_check(A) -> ZMatrixReport:
     """
     M = _as_csr(A)
     n = M.shape[0]
-    assert M.shape[0] == M.shape[1], "matrix must be square"
+    if M.shape[0] != M.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {M.shape}")
     scale = float(np.abs(M.data).max()) if M.nnz else 0.0
     tol = ZERO_REL_TOL * scale
     indptr, indices, data = M.indptr, M.indices, M.data

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .element_geometry import simplex_geometry
 from .errors import MeshError
 
 # Vertices closer than this are treated as duplicates on ingestion.
@@ -94,22 +94,23 @@ class SimplicialMesh:
         n_v = vertices.shape[0]
         if elements.size and (elements.min() < 0 or elements.max() >= n_v):
             raise MeshError("element vertex index out of range")
-        for k, elem in enumerate(elements):
-            if len(set(elem.tolist())) != dim + 1:
-                raise MeshError(f"element {k} repeats a vertex index")
+        ordered = np.sort(elements, axis=1)
+        repeats = np.flatnonzero(np.any(ordered[:, 1:] == ordered[:, :-1], axis=1))
+        if repeats.size:
+            raise MeshError(f"element {repeats[0]} repeats a vertex index")
 
         _check_duplicate_vertices(vertices)
 
+        X = vertices[elements]
+        V = np.swapaxes(X[:, 1:] - X[:, :1], 1, 2)
+        det = np.linalg.det(V)
+        scale = np.prod(np.linalg.norm(V, axis=1), axis=1)
+        degenerate = np.flatnonzero(np.abs(det) <= DEGENERATE_REL_TOL * np.maximum(scale, 1e-300))
+        if degenerate.size:
+            raise MeshError(f"element {degenerate[0]} is degenerate (zero volume)")
         elements = elements.copy()
-        for k in range(elements.shape[0]):
-            X = vertices[elements[k]]
-            V = (X[1:] - X[0]).T
-            det = float(np.linalg.det(V))
-            scale = float(np.prod(np.linalg.norm(V, axis=0)))
-            if abs(det) <= DEGENERATE_REL_TOL * max(scale, 1e-300):
-                raise MeshError(f"element {k} is degenerate (zero volume)")
-            if det < 0.0:
-                elements[k, [dim - 1, dim]] = elements[k, [dim, dim - 1]]
+        flip = det < 0.0
+        elements[flip, dim - 1], elements[flip, dim] = elements[flip, dim], elements[flip, dim - 1]
 
         interior_index = np.full(n_v, -1, dtype=np.int64)
         ids = np.flatnonzero(~boundary)
@@ -136,21 +137,21 @@ def _check_duplicate_vertices(vertices: np.ndarray) -> None:
 
 def _check_boundary_flags(mesh: SimplicialMesh) -> None:
     """Every vertex on a facet incident to a single element must be flagged."""
-    counts: dict[tuple, int] = {}
     d = mesh.dim
-    for elem in mesh.elements:
-        for facet in itertools.combinations(sorted(elem.tolist()), d):
-            counts[facet] = counts.get(facet, 0) + 1
-    for facet, c in counts.items():
-        if c == 1:
-            for v in facet:
-                if not mesh.boundary[v]:
-                    raise MeshError(
-                        f"vertex {v} lies on a boundary facet but is not "
-                        "flagged as boundary"
-                    )
-        elif c > 2:
-            raise MeshError(f"facet {facet} shared by {c} elements")
+    local = np.array(list(itertools.combinations(range(d + 1), d)))
+    facets = np.sort(mesh.elements, axis=1)[:, local].reshape(-1, d)
+    facets, counts = np.unique(facets, axis=0, return_counts=True)
+    shared = np.flatnonzero(counts > 2)
+    if shared.size:
+        f = shared[0]
+        raise MeshError(f"facet {tuple(facets[f].tolist())} shared by {counts[f]} elements")
+    on_hull = facets[counts == 1].ravel()
+    unflagged = on_hull[~mesh.boundary[on_hull]]
+    if unflagged.size:
+        raise MeshError(
+            f"vertex {unflagged[0]} lies on a boundary facet but is not "
+            "flagged as boundary"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +203,31 @@ def generate_structured(kind: str, J: int) -> SimplicialMesh:
 # adjacency
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class MeshEdges:
+    """Mesh edges as sorted vertex pairs, in lexicographic order; edge e
+    lies in elements[offsets[e]:offsets[e+1]], in increasing element id."""
+
+    vertices: np.ndarray
+    offsets: np.ndarray
+    elements: np.ndarray
+
+
+def mesh_edges(mesh: SimplicialMesh) -> MeshEdges:
+    """Sorted edge -> element incidence of the mesh."""
+    local = np.array(list(itertools.combinations(range(mesh.dim + 1), 2)))
+    pairs = np.sort(mesh.elements[:, local], axis=-1).reshape(-1, 2)
+    elem = np.repeat(np.arange(mesh.n_elements), len(local))
+    order = np.lexsort((elem, pairs[:, 1], pairs[:, 0]))
+    vertices, starts = np.unique(pairs[order], axis=0, return_index=True)
+    return MeshEdges(vertices, np.append(starts, len(order)), elem[order])
+
+
 def edge_patches(mesh: SimplicialMesh) -> dict[tuple[int, int], list[int]]:
     """Map each mesh edge (sorted vertex pair) to the elements containing it."""
-    patches: dict[tuple[int, int], list[int]] = {}
-    for k, elem in enumerate(mesh.elements):
-        for a, b in itertools.combinations(sorted(elem.tolist()), 2):
-            patches.setdefault((a, b), []).append(k)
-    return patches
+    e = mesh_edges(mesh)
+    groups = np.split(e.elements, e.offsets[1:-1])
+    return {(a, b): g.tolist() for (a, b), g in zip(e.vertices.tolist(), groups)}
 
 
 @dataclass(frozen=True)
@@ -221,40 +240,27 @@ class InteriorConnectivity:
 
 
 def interior_connectivity(mesh: SimplicialMesh) -> InteriorConnectivity:
-    """Breadth-first search over edges with both endpoints interior.
+    """Connected components of the interior vertices joined by mesh edges.
 
     A mesh with no interior vertices is vacuously connected; has_interior
     is False there so callers can tell the vacuous case apart.
     """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     interior = mesh.interior_vertices
     if interior.size == 0:
         return InteriorConnectivity(True, [], False)
 
-    adj: dict[int, set[int]] = {int(v): set() for v in interior}
-    for (a, b) in edge_patches(mesh):
-        if not mesh.boundary[a] and not mesh.boundary[b]:
-            adj[a].add(b)
-            adj[b].add(a)
-
-    seen: set[int] = set()
-    components: list[list[int]] = []
-    for start in interior:
-        start = int(start)
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
-        components.append(sorted(comp))
-    components.sort(key=lambda c: c[0])
-    return InteriorConnectivity(len(components) == 1, components, True)
+    ends = mesh.interior_index[mesh_edges(mesh).vertices]
+    ends = ends[np.all(ends >= 0, axis=1)]
+    n = interior.size
+    graph = coo_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(n, n))
+    n_comp, labels = connected_components(graph, directed=False)
+    groups = np.split(interior[np.argsort(labels, kind="stable")],
+                      np.cumsum(np.bincount(labels))[:-1])
+    components = sorted((g.tolist() for g in groups), key=lambda c: c[0])
+    return InteriorConnectivity(n_comp == 1, components, True)
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +408,4 @@ def mesh_from_json(text: str) -> SimplicialMesh:
 
 def mesh_spacing(mesh: SimplicialMesh) -> float:
     """Largest element diameter (the mesh size h)."""
-    h = 0.0
-    for elem in mesh.elements:
-        X = mesh.vertices[elem]
-        for a, b in itertools.combinations(range(mesh.dim + 1), 2):
-            h = max(h, float(np.linalg.norm(X[a] - X[b])))
-    return h
+    return float(simplex_geometry(mesh.vertices[mesh.elements]).diameter.max(initial=0.0))

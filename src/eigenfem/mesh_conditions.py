@@ -24,40 +24,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import ElementCoefficientStats, ProblemCoefficients, element_stats
-from .element_geometry import (
-    ElementGeometry,
-    check_spd,
-    element_geometry,
-    metric_altitudes,
-    metric_angle_cosines,
-    quadrature_points,
-)
-from .mesh import SimplicialMesh, edge_patches, interior_connectivity
+from .coefficients import ElementTable, ProblemCoefficients, element_table
+from .element_geometry import (ANGLE_CLAMP, angle_from_cos, check_spd,
+                               metric_altitudes, min_cosine, quadrature_average,
+                               quadrature_points)
+from .mesh import MeshEdges, SimplicialMesh, interior_connectivity, mesh_edges
 
-ANGLE_CLAMP = 1e-12
 # Slack used when comparing assembled entries against their analytic bounds.
 BOUND_SLACK = 1e-10
+DOMINATED = "convection/reaction dominates at this h"
 
 
-def _arccot(x: float) -> float:
+def _arccot(x: np.ndarray) -> np.ndarray:
     """Inverse cotangent with range (0, pi), continuous at x = 0."""
-    return 0.5 * math.pi - math.atan(x)
+    return 0.5 * np.pi - np.arctan(x)
 
 
-def _cot_from_cos(c: float) -> float:
+def _cot_from_cos(c: np.ndarray) -> np.ndarray:
     """Cotangent of an angle in (0, pi) given its cosine.
 
     Computed directly from the cosine so that a right angle (c = 0) yields
     an exact zero; the sine is floored to keep degenerate angles finite.
     """
-    s = math.sqrt(max(1.0 - c * c, 0.0))
-    return c / max(s, ANGLE_CLAMP)
-
-
-def _angle_from_cos(c: float) -> float:
-    a = math.acos(min(max(c, -1.0), 1.0))
-    return min(max(a, ANGLE_CLAMP), math.pi - ANGLE_CLAMP)
+    s = np.sqrt(np.maximum(1.0 - c * c, 0.0))
+    return c / np.maximum(s, ANGLE_CLAMP)
 
 
 @dataclass(frozen=True)
@@ -126,131 +116,96 @@ class ConditionReport:
         return self.nonobtuse_weak or bool(self.delaunay_weak)
 
 
-class _ElementData:
-    """Geometry and coefficient stats for every element, computed once."""
-
-    def __init__(self, mesh: SimplicialMesh, coeffs: ProblemCoefficients):
-        self.geoms: list[ElementGeometry] = []
-        self.stats: list[ElementCoefficientStats] = []
-        self.cosines: list[np.ndarray] = []
-        for K in range(mesh.n_elements):
-            geom = element_geometry(mesh.vertices[mesh.elements[K]])
-            st = element_stats(coeffs, mesh, K)
-            self.geoms.append(geom)
-            self.stats.append(st)
-            self.cosines.append(metric_angle_cosines(geom, st.D_K))
-
-
-def _nonobtuse_from_data(mesh: SimplicialMesh, data: _ElementData) -> NonobtuseReport:
+def _nonobtuse(mesh: SimplicialMesh, t: ElementTable) -> NonobtuseReport:
     d = mesh.dim
-    per_element = []
-    alpha_max_all = 0.0
-    weak = True
-    strict = True
-    for K in range(mesh.n_elements):
-        geom = data.geoms[K]
-        st = data.stats[K]
-        C = data.cosines[K]
-        c_min = min(float(C[j, k]) for j in range(d + 1) for k in range(j + 1, d + 1))
-        alpha = _angle_from_cos(c_min)
-        alpha_max_all = max(alpha_max_all, alpha)
-
-        h = geom.diameter
-        arg = (h * st.b_sup / (st.lambda_min_DK * (d + 1))
-               + h * h * st.c_sup / (st.lambda_min_DK * (d + 1) * (d + 2)))
-        if arg > 1.0:
-            rec = ElementCondition(K, alpha, None, False, False,
-                                   "convection/reaction dominates at this h")
-            weak = strict = False
-        else:
-            bound = math.acos(arg)
-            rec = ElementCondition(K, alpha, bound, alpha <= bound, alpha < bound)
-            weak = weak and rec.pass_weak
-            strict = strict and rec.pass_strict
-        per_element.append(rec)
-    return NonobtuseReport(per_element, alpha_max_all, weak, strict)
+    alpha = angle_from_cos(min_cosine(t.cosines))
+    h = t.geom.diameter
+    arg = (h * t.b_sup / (t.lambda_min_DK * (d + 1))
+           + h * h * t.c_sup / (t.lambda_min_DK * (d + 1) * (d + 2)))
+    dominated = arg > 1.0
+    bound = np.arccos(np.where(dominated, 1.0, arg))
+    weak = ~dominated & (alpha <= bound)
+    strict = ~dominated & (alpha < bound)
+    per_element = list(map(
+        ElementCondition, range(len(alpha)), alpha.tolist(),
+        np.where(dominated, None, bound).tolist(), weak.tolist(), strict.tolist(),
+        np.where(dominated, DOMINATED, "").tolist()))
+    return NonobtuseReport(per_element, float(alpha.max(initial=0.0)),
+                           bool(weak.all()), bool(strict.all()))
 
 
 def check_nonobtuse(mesh: SimplicialMesh, coeffs: ProblemCoefficients) -> NonobtuseReport:
     """Evaluate the metric nonobtuse angle condition for every element."""
-    return _nonobtuse_from_data(mesh, _ElementData(mesh, coeffs))
+    return _nonobtuse(mesh, element_table(mesh, coeffs))
 
 
-def _facing_cosine(mesh: SimplicialMesh, K: int, edge: tuple[int, int],
-                   data: _ElementData) -> float:
-    """Cosine of the metric angle of element K at the vertex facing the edge.
-
-    That angle is the dihedral angle between the two faces opposite the
-    edge's endpoints (the faces meeting at the third vertex).
-    """
-    elem = mesh.elements[K].tolist()
-    la = elem.index(edge[0])
-    lb = elem.index(edge[1])
-    return float(data.cosines[K][la, lb])
+def _local(mesh: SimplicialMesh, K: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Position of vertex v[i] in the vertex list of element K[i]."""
+    return np.argmax(mesh.elements[K] == v[:, None], axis=1)
 
 
-def _theta(stK: ElementCoefficientStats, hK: float, hKp: float, d: int) -> float:
+def _internal_edges(mesh: SimplicialMesh, t: ElementTable, edges: MeshEdges):
+    """Edges held by two elements K < K': edge ids, K, K', and the cosines
+    of the metric angles of K and K' facing the edge (the dihedral angle
+    between the two faces opposite the edge's endpoints)."""
+    internal = np.flatnonzero(np.diff(edges.offsets) == 2)
+    K, Kp = edges.elements[edges.offsets[internal]], edges.elements[edges.offsets[internal] + 1]
+    j, k = edges.vertices[internal].T
+    cK, cKp = (t.cosines[E, _local(mesh, E, j), _local(mesh, E, k)] for E in (K, Kp))
+    return internal, K, Kp, cK, cKp
+
+
+def _theta(b_sup, c_sup, hK, hKp, d: int):
     """Convection/reaction perturbation of the Delaunay-type condition.
 
     All four norms are taken over the first element K, as printed in the
     source inequality (the companion entry bound uses K' norms instead).
     """
-    t = (hK * stK.b_sup / (d + 1)
-         + hK * hK * stK.c_sup / ((d + 1) * (d + 2))
-         + hKp * stK.b_sup / (d + 1)
-         + hKp * hKp * stK.c_sup / ((d + 1) * (d + 2)))
-    return t
+    return (hK * b_sup / (d + 1)
+            + hK * hK * c_sup / ((d + 1) * (d + 2))
+            + hKp * b_sup / (d + 1)
+            + hKp * hKp * c_sup / ((d + 1) * (d + 2)))
 
 
-def _delaunay_lhs(aK: float, cotK: float, detK: float,
-                  aKp: float, cotKp: float, detKp: float, theta: float) -> float:
-    t1 = _arccot(math.sqrt(detKp / detK) * cotKp - 2.0 * theta / math.sqrt(detK))
-    t2 = _arccot(math.sqrt(detK / detKp) * cotK - 2.0 * theta / math.sqrt(detKp))
+def _delaunay_lhs(aK, cotK, detK, aKp, cotKp, detKp, theta):
+    t1 = _arccot(np.sqrt(detKp / detK) * cotKp - 2.0 * theta / np.sqrt(detK))
+    t2 = _arccot(np.sqrt(detK / detKp) * cotK - 2.0 * theta / np.sqrt(detKp))
     return 0.5 * (aK + aKp + t1 + t2)
 
 
-def _delaunay_from_data(mesh: SimplicialMesh, data: _ElementData) -> DelaunayReport:
+def _delaunay(mesh: SimplicialMesh, t: ElementTable, edges: MeshEdges) -> DelaunayReport:
     if mesh.dim != 2:
         raise NotImplementedError("the Delaunay-type condition is 2D only")
     d = 2
-    per_edge = []
-    alpha_sum_all = 0.0
-    weak = True
-    strict = True
-    for edge, elems in sorted(edge_patches(mesh).items()):
-        if len(elems) != 2:
-            continue
-        K, Kp = elems
-        cK = _facing_cosine(mesh, K, edge, data)
-        cKp = _facing_cosine(mesh, Kp, edge, data)
-        aK, aKp = _angle_from_cos(cK), _angle_from_cos(cKp)
-        cotK, cotKp = _cot_from_cos(cK), _cot_from_cos(cKp)
-        detK = float(np.linalg.det(data.stats[K].D_K))
-        detKp = float(np.linalg.det(data.stats[Kp].D_K))
-        theta = _theta(data.stats[K], data.geoms[K].diameter,
-                       data.geoms[Kp].diameter, d)
-        lhs = _delaunay_lhs(aK, cotK, detK, aKp, cotKp, detKp, theta)
-        lhs_free = _delaunay_lhs(aK, cotK, detK, aKp, cotKp, detKp, 0.0)
-        alpha_sum_all = max(alpha_sum_all, lhs_free)
-        rec = EdgeCondition(edge, (K, Kp), lhs, theta, lhs_free,
-                            lhs <= math.pi, lhs < math.pi)
-        weak = weak and rec.pass_weak
-        strict = strict and rec.pass_strict
-        per_edge.append(rec)
-    return DelaunayReport(per_edge, alpha_sum_all, weak, strict)
+    internal, K, Kp, cK, cKp = _internal_edges(mesh, t, edges)
+    aK, aKp = angle_from_cos(cK), angle_from_cos(cKp)
+    cotK, cotKp = _cot_from_cos(cK), _cot_from_cos(cKp)
+    det_D = np.linalg.det(t.D_K)
+    detK, detKp = det_D[K], det_D[Kp]
+    h = t.geom.diameter
+    theta = _theta(t.b_sup[K], t.c_sup[K], h[K], h[Kp], d)
+    lhs = _delaunay_lhs(aK, cotK, detK, aKp, cotKp, detKp, theta)
+    lhs_free = _delaunay_lhs(aK, cotK, detK, aKp, cotKp, detKp, 0.0)
+    weak, strict = lhs <= math.pi, lhs < math.pi
+    per_edge = list(map(
+        EdgeCondition, map(tuple, edges.vertices[internal].tolist()),
+        zip(K.tolist(), Kp.tolist()), lhs.tolist(), theta.tolist(),
+        lhs_free.tolist(), weak.tolist(), strict.tolist()))
+    return DelaunayReport(per_edge, float(lhs_free.max(initial=0.0)),
+                          bool(weak.all()), bool(strict.all()))
 
 
 def check_delaunay_type(mesh: SimplicialMesh, coeffs: ProblemCoefficients) -> DelaunayReport:
     """Evaluate the Delaunay-type condition on every internal edge (2D)."""
-    return _delaunay_from_data(mesh, _ElementData(mesh, coeffs))
+    return _delaunay(mesh, element_table(mesh, coeffs), mesh_edges(mesh))
 
 
 def evaluate_conditions(mesh: SimplicialMesh, coeffs: ProblemCoefficients) -> ConditionReport:
     """Run both mesh conditions and interior connectivity in one pass."""
-    data = _ElementData(mesh, coeffs)
-    nob = _nonobtuse_from_data(mesh, data)
+    t = element_table(mesh, coeffs)
+    nob = _nonobtuse(mesh, t)
     if mesh.dim == 2:
-        del_rep = _delaunay_from_data(mesh, data)
+        del_rep = _delaunay(mesh, t, mesh_edges(mesh))
         per_edge = del_rep.per_edge
         alpha_sum = del_rep.alpha_sum_metric
         dweak: bool | None = del_rep.passed_weak
@@ -300,57 +255,49 @@ def entry_bound_report(mesh: SimplicialMesh, coeffs: ProblemCoefficients,
     cotangent form.  Violations indicate an assembly or geometry bug, not
     a mesh-quality problem.
     """
-    data = _ElementData(mesh, coeffs)
-    d = mesh.dim
-    A = system.A
-    out = []
-    for edge, elems in sorted(edge_patches(mesh).items()):
-        j, k = edge
-        ij, ik = mesh.interior_index[j], mesh.interior_index[k]
-        if ij < 0 or ik < 0:
-            continue
-        a_jk = float(A[ij, ik])
-        a_kj = float(A[ik, ij])
+    t, edges, d = element_table(mesh, coeffs), mesh_edges(mesh), mesh.dim
+    n_edges = len(edges.vertices)
 
-        bound_gen = 0.0
-        for K in elems:
-            geom = data.geoms[K]
-            st = data.stats[K]
-            C = data.cosines[K]
-            elem = mesh.elements[K].tolist()
-            lj, lk = elem.index(j), elem.index(k)
-            alt = metric_altitudes(geom, st.D_K)
-            c_min = min(float(C[p, q]) for p in range(d + 1)
-                        for q in range(p + 1, d + 1))
-            h = geom.diameter
-            term = (-c_min
-                    + h * st.b_sup / ((d + 1) * st.lambda_min_DK)
-                    + h * h * st.c_sup / ((d + 1) * (d + 2) * st.lambda_min_DK))
-            bound_gen += geom.volume / (alt[lj] * alt[lk]) * term
+    # General bound: a sum over the patch of each edge, one term per element.
+    h = t.geom.diameter
+    term = (-min_cosine(t.cosines)
+            + h * t.b_sup / ((d + 1) * t.lambda_min_DK)
+            + h * h * t.c_sup / ((d + 1) * (d + 2) * t.lambda_min_DK))
+    alt = metric_altitudes(t.geom, t.D_K)
+    edge_of = np.repeat(np.arange(n_edges), np.diff(edges.offsets))
+    el, (j, k) = edges.elements, edges.vertices[edge_of].T
+    per_incidence = (t.geom.volume[el] / (alt[el, _local(mesh, el, j)]
+                                          * alt[el, _local(mesh, el, k)]) * term[el])
+    bound_gen = np.bincount(edge_of, weights=per_incidence, minlength=n_edges)
 
-        bound_2d = None
-        if d == 2 and len(elems) == 2:
-            K, Kp = elems
-            cK = _facing_cosine(mesh, K, edge, data)
-            cKp = _facing_cosine(mesh, Kp, edge, data)
-            stK, stKp = data.stats[K], data.stats[Kp]
-            hK, hKp = data.geoms[K].diameter, data.geoms[Kp].diameter
-            bound_2d = (
-                -0.5 * math.sqrt(float(np.linalg.det(stK.D_K))) * _cot_from_cos(cK)
-                - 0.5 * math.sqrt(float(np.linalg.det(stKp.D_K))) * _cot_from_cos(cKp)
-                + hK * stK.b_sup / (d + 1)
-                + hK * hK * stK.c_sup / ((d + 1) * (d + 2))
-                + hKp * stKp.b_sup / (d + 1)
-                + hKp * hKp * stKp.c_sup / ((d + 1) * (d + 2))
-            )
+    bound_2d = np.full(n_edges, np.nan)
+    if d == 2:
+        internal, K, Kp, cK, cKp = _internal_edges(mesh, t, edges)
+        sqrt_det = np.sqrt(np.linalg.det(t.D_K))
+        bound_2d[internal] = (
+            -0.5 * sqrt_det[K] * _cot_from_cos(cK)
+            - 0.5 * sqrt_det[Kp] * _cot_from_cos(cKp)
+            + h[K] * t.b_sup[K] / (d + 1)
+            + h[K] * h[K] * t.c_sup[K] / ((d + 1) * (d + 2))
+            + h[Kp] * t.b_sup[Kp] / (d + 1)
+            + h[Kp] * h[Kp] * t.c_sup[Kp] / ((d + 1) * (d + 2))
+        )
 
-        a_max = max(a_jk, a_kj)
-        slack = BOUND_SLACK * max(1.0, abs(bound_gen))
-        violated = a_max > bound_gen + slack
-        if bound_2d is not None:
-            violated = violated or a_max > bound_2d + BOUND_SLACK * max(1.0, abs(bound_2d))
-        out.append(EdgeBound(edge, a_jk, a_kj, bound_gen, bound_2d, violated))
-    return out
+    ends = mesh.interior_index[edges.vertices]
+    inner = np.flatnonzero(np.all(ends >= 0, axis=1))
+    ij, ik = ends[inner, 0], ends[inner, 1]
+    a_jk = np.asarray(system.A[ij, ik]).ravel()
+    a_kj = np.asarray(system.A[ik, ij]).ravel()
+    a_max = np.maximum(a_jk, a_kj)
+    gen, b2 = bound_gen[inner], bound_2d[inner]
+    violated = a_max > gen + BOUND_SLACK * np.maximum(1.0, np.abs(gen))
+    violated |= a_max > b2 + BOUND_SLACK * np.maximum(1.0, np.abs(b2))
+    return [
+        EdgeBound(tuple(e), *vals, None if math.isnan(b) else b, v)
+        for e, *vals, b, v in zip(edges.vertices[inner].tolist(), a_jk.tolist(),
+                                   a_kj.tolist(), gen.tolist(), b2.tolist(),
+                                   violated.tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -378,33 +325,25 @@ def m_uniformity(mesh: SimplicialMesh, metric) -> MUniformity:
     exactly when the element is equilateral in the metric; e_K = 1 when
     metric volume is equidistributed.  Both are ideal at 1 and a_K >= 1
     always (arithmetic-geometric mean inequality on the eigenvalues of the
-    transformed metric).
+    transformed metric).  metric(x) receives one point (d,) per call.
     """
     d = mesh.dim
     ref = _REF_SIMPLEX_2D if d == 2 else _REF_SIMPLEX_3D
-    ref_inv = np.linalg.inv(ref)
     N = mesh.n_elements
 
-    M_K = []
-    vols = np.empty(N)
-    for K in range(N):
-        X = mesh.vertices[mesh.elements[K]]
-        pts, w = quadrature_points(X)
-        vols[K] = w.sum()
-        MK = np.zeros((d, d))
-        for p, wq in zip(pts, w):
-            MK += wq * check_spd(metric(p), "metric tensor")
-        M_K.append(MK / vols[K])
+    X = mesh.vertices[mesh.elements]
+    pts, w = quadrature_points(X)
+    vols = w.sum(axis=-1)
+    Mq = check_spd(np.array([metric(p) for p in pts.reshape(-1, d)]).reshape(pts.shape + (d,)),
+                   "metric tensor")
+    M_K = quadrature_average(w, Mq)
 
-    sqrt_dets = np.array([math.sqrt(float(np.linalg.det(M))) for M in M_K])
+    sqrt_dets = np.sqrt(np.linalg.det(M_K))
     sigma_h = float(np.sum(vols * sqrt_dets))
     e_K = vols * sqrt_dets * N / sigma_h
 
-    a_K = np.empty(N)
-    for K in range(N):
-        X = mesh.vertices[mesh.elements[K]]
-        V = (X[1:] - X[0]).T
-        F = V @ ref_inv
-        Jm = F.T @ M_K[K] @ F
-        a_K[K] = float(np.trace(Jm)) / (d * float(np.linalg.det(Jm)) ** (1.0 / d))
+    V = np.swapaxes(X[:, 1:] - X[:, :1], 1, 2)
+    F = V @ np.linalg.inv(ref)
+    Jm = np.swapaxes(F, 1, 2) @ M_K @ F
+    a_K = np.trace(Jm, axis1=1, axis2=2) / (d * np.linalg.det(Jm) ** (1.0 / d))
     return MUniformity(e_K, a_K)

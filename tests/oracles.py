@@ -7,13 +7,22 @@ Everything here deliberately avoids the code paths under test:
 * integrate_on_triangle / integrate_on_tet use brute-force subdivision
   sampling, never the package's quadrature rule;
 * hessenberg_eigs_deflation finds Hessenberg eigenvalues by shifted
-  inverse iteration with Hotelling deflation, never a Schur form.
+  inverse iteration with Hotelling deflation, never a Schur form;
+* loop_assemble, loop_nonobtuse and loop_delaunay redo assembly and the
+  mesh conditions one element and one edge at a time, calling the
+  coefficient functions at one point per call, never the batched element
+  table.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import scipy.linalg
+
+from eigenfem.element_geometry import quadrature_barycentric
 
 
 def dense_generalized_eigs(A, B, k: int | None = None) -> np.ndarray:
@@ -125,3 +134,139 @@ def hessenberg_eigs_qr(H, tol: float = 1e-13,
     for i in range(hi):
         eigs.append(A[i, i])
     return np.array(eigs)
+
+
+# ---------------------------------------------------------------------------
+# per-element loop reference for assembly and the mesh conditions
+# ---------------------------------------------------------------------------
+
+_CLAMP = 1e-12
+
+
+def _loop_element(mesh, coeffs, K: int) -> dict:
+    """Geometry and coefficient data of element K, computed on its own."""
+    X = mesh.vertices[mesh.elements[K]]
+    d = mesh.dim
+    V = (X[1:] - X[0]).T
+    vol = float(np.linalg.det(V)) / math.factorial(d)
+    Vinv = np.linalg.inv(V)
+    grads = np.vstack([-Vinv.sum(axis=0), Vinv])
+    normals = -grads / np.linalg.norm(grads, axis=1)[:, None]
+    diam = max(float(np.linalg.norm(X[a] - X[b]))
+               for a, b in itertools.combinations(range(d + 1), 2))
+
+    bary, wref = quadrature_barycentric(d)
+    pts, w = bary @ X, wref * vol
+    D_K = np.zeros((d, d))
+    for p, wq in zip(pts, w):
+        D_K += wq * np.asarray(coeffs.diffusion(p))
+    D_K /= float(w.sum())
+    samples = np.vstack([pts, X])
+    G = normals @ D_K @ normals.T
+    s = np.sqrt(np.diag(G))
+    C = -G / np.outer(s, s)
+    np.fill_diagonal(C, 1.0)
+    return {
+        "vol": vol, "diam": diam, "grads": grads, "pts": pts, "w": w,
+        "D_K": D_K, "lam_min": float(np.linalg.eigvalsh(D_K)[0]),
+        "b_sup": max(float(np.linalg.norm(coeffs.convection(p))) for p in samples),
+        "c_sup": max(abs(float(coeffs.reaction(p))) for p in samples),
+        "cos": np.clip(C, -1.0, 1.0),
+    }
+
+
+def loop_assemble(mesh, coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """Dense interior stiffness A and consistent mass B, element by element."""
+    d = mesh.dim
+    n = mesh.n_interior
+    bary, _ = quadrature_barycentric(d)
+    A = np.zeros((n, n))
+    B = np.zeros((n, n))
+    for K in range(mesh.n_elements):
+        e = _loop_element(mesh, coeffs, K)
+        G, w, vol = e["grads"], e["w"], e["vol"]
+        bq = np.array([np.broadcast_to(coeffs.convection(p), (d,)) for p in e["pts"]])
+        cq = np.array([float(coeffs.reaction(p)) for p in e["pts"]])
+        local_A = (vol * (G @ e["D_K"] @ G.T)
+                   + (bary * w[:, None]).T @ (bq @ G.T)
+                   + bary.T @ (bary * (w * cq)[:, None]))
+        local_B = np.full((d + 1, d + 1), vol / ((d + 1) * (d + 2)))
+        np.fill_diagonal(local_B, 2.0 * vol / ((d + 1) * (d + 2)))
+        idx = mesh.interior_index[mesh.elements[K]]
+        for a in range(d + 1):
+            for b in range(d + 1):
+                if idx[a] >= 0 and idx[b] >= 0:
+                    A[idx[a], idx[b]] += local_A[a, b]
+                    B[idx[a], idx[b]] += local_B[a, b]
+    return A, B
+
+
+def _angle(c: float) -> float:
+    a = math.acos(min(max(c, -1.0), 1.0))
+    return min(max(a, _CLAMP), math.pi - _CLAMP)
+
+
+def loop_nonobtuse(mesh, coeffs) -> list[tuple]:
+    """(alpha_max, bound or None, pass_weak, pass_strict) per element."""
+    d = mesh.dim
+    out = []
+    for K in range(mesh.n_elements):
+        e = _loop_element(mesh, coeffs, K)
+        c_min = min(float(e["cos"][j, k]) for j, k in itertools.combinations(range(d + 1), 2))
+        alpha = _angle(c_min)
+        h, lam = e["diam"], e["lam_min"]
+        arg = (h * e["b_sup"] / (lam * (d + 1))
+               + h * h * e["c_sup"] / (lam * (d + 1) * (d + 2)))
+        if arg > 1.0:
+            out.append((alpha, None, False, False))
+        else:
+            bound = math.acos(arg)
+            out.append((alpha, bound, alpha <= bound, alpha < bound))
+    return out
+
+
+def loop_delaunay(mesh, coeffs) -> list[tuple]:
+    """(edge, (K, K'), lhs, theta, lhs_theta_free, pass_weak, pass_strict)
+    per internal edge of a 2D mesh, in sorted edge order."""
+    patches: dict = {}
+    for k, elem in enumerate(mesh.elements):
+        for a, b in itertools.combinations(sorted(elem.tolist()), 2):
+            patches.setdefault((a, b), []).append(k)
+    data = {}
+
+    def element(K):
+        if K not in data:
+            data[K] = _loop_element(mesh, coeffs, K)
+        return data[K]
+
+    def facing(K, edge):
+        elem = mesh.elements[K].tolist()
+        return float(element(K)["cos"][elem.index(edge[0]), elem.index(edge[1])])
+
+    def cot(c):
+        return c / max(math.sqrt(max(1.0 - c * c, 0.0)), _CLAMP)
+
+    def arccot(x):
+        return 0.5 * math.pi - math.atan(x)
+
+    out = []
+    for edge, elems in sorted(patches.items()):
+        if len(elems) != 2:
+            continue
+        K, Kp = elems
+        eK, eKp = element(K), element(Kp)
+        cK, cKp = facing(K, edge), facing(Kp, edge)
+        detK = float(np.linalg.det(eK["D_K"]))
+        detKp = float(np.linalg.det(eKp["D_K"]))
+        hK, hKp = eK["diam"], eKp["diam"]
+        theta = (hK * eK["b_sup"] / 3 + hK * hK * eK["c_sup"] / 12
+                 + hKp * eK["b_sup"] / 3 + hKp * hKp * eK["c_sup"] / 12)
+
+        def lhs(th):
+            t1 = arccot(math.sqrt(detKp / detK) * cot(cKp) - 2.0 * th / math.sqrt(detK))
+            t2 = arccot(math.sqrt(detK / detKp) * cot(cK) - 2.0 * th / math.sqrt(detKp))
+            return 0.5 * (_angle(cK) + _angle(cKp) + t1 + t2)
+
+        val = lhs(theta)
+        out.append((edge, (K, Kp), val, theta, lhs(0.0), val <= math.pi, val < math.pi))
+    return out

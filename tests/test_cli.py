@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import eigenfem
 from eigenfem import export_triangle, generate_structured
 from eigenfem.cli import main
 
@@ -121,18 +124,24 @@ def test_converge_output(tmp_path):
     assert lines[0].startswith("# config:")
     assert lines[1].split(",")[0] == "J"
     assert len(lines) == 2 + 3
+    Js = [int(l.split(",")[0]) for l in lines[2:]]
+    assert Js == [5, 9, 17]
     last = lines[-1].split(",")
     assert float(last[4]) < float(lines[2].split(",")[4])  # error decreased
 
 
-def test_converge_threads_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("EIGENFEM_THREADS", "2")
-    code = run(["converge", "--problem", "laplace", "--mesh", "mesh45",
-                "--J", "5,9,17", "--out", str(tmp_path)])
-    assert code == 0
-    lines = (tmp_path / "convergence.csv").read_text().splitlines()
-    Js = [int(l.split(",")[0]) for l in lines[2:]]
-    assert Js == [5, 9, 17]  # ordered by J regardless of worker count
+def test_config_errors_exit_one_under_optimize(tmp_path):
+    # python -O strips assert statements, so input checks must raise
+    src = os.path.dirname(os.path.dirname(eigenfem.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv in (["converge", "--problem", "laplace", "--mesh", "mesh45",
+                  "--J", "9,5,3"],
+                 ["solve", "--problem", "laplace", "--mesh", "mesh45",
+                  "--J", "5", "--k", "0"]):
+        proc = subprocess.run([sys.executable, "-O", "-m", "eigenfem.cli", *argv,
+                               "--out", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, (argv, proc.stdout, proc.stderr)
 
 
 def test_converge_bad_J_list(tmp_path):

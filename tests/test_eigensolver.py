@@ -195,7 +195,7 @@ def test_convergence_study_second_order():
 
 
 def test_convergence_study_validates_input():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         convergence_study("laplace", "mesh45", [11, 21])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         convergence_study("laplace", "mesh45", [21, 11, 41])

@@ -1,0 +1,111 @@
+"""The batched element table against the per-element loop oracle."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from eigenfem import (SimplicialMesh, assemble, catalog, coefficients_from_json,
+                      element_table, evaluate_conditions, export_triangle,
+                      generate_structured, import_mesh)
+from eigenfem.mesh_conditions import check_nonobtuse
+
+from oracles import loop_assemble, loop_delaunay, loop_nonobtuse
+
+
+def jittered_triangle_mesh(seed: int, J: int = 17) -> SimplicialMesh:
+    """J x J grid, interior vertices jittered by up to 0.2 h, a random
+    diagonal in each cell, passed through the Triangle text format."""
+    rng = np.random.default_rng(seed)
+    grid = generate_structured("mesh45", J)
+    h = 1.0 / (J - 1)
+    shift = rng.uniform(-0.2 * h, 0.2 * h, size=grid.vertices.shape)
+    vertices = grid.vertices + np.where(grid.boundary[:, None], 0.0, shift)
+    a = (np.arange(J - 1)[None, :] + J * np.arange(J - 1)[:, None]).ravel()
+    b, c, d = a + 1, a + J + 1, a + J
+    flip = (rng.random(a.size) < 0.5)[:, None]
+    first = np.where(flip, np.column_stack([a, b, d]), np.column_stack([a, b, c]))
+    second = np.where(flip, np.column_stack([b, c, d]), np.column_stack([a, c, d]))
+    elements = np.stack([first, second], axis=1).reshape(-1, 3)
+    mesh = SimplicialMesh.from_arrays(2, vertices, elements, grid.boundary)
+    return import_mesh(*export_triangle(mesh))
+
+
+def kuhn_cube(n: int) -> SimplicialMesh:
+    """Unit cube with n cells per axis, each cut into the six Kuhn tetrahedra."""
+    t = np.linspace(0.0, 1.0, n + 1)
+    vertices = np.array(list(itertools.product(t, t, t)))
+    stride = np.array([(n + 1) ** 2, n + 1, 1])
+    elements = []
+    for corner in itertools.product(range(n), repeat=3):
+        for axes in itertools.permutations(range(3)):
+            cur = np.array(corner)
+            path = [cur @ stride]
+            for ax in axes:
+                cur[ax] += 1
+                path.append(cur @ stride)
+            elements.append(path)
+    boundary = np.any((vertices == 0.0) | (vertices == 1.0), axis=1)
+    return SimplicialMesh.from_arrays(3, vertices, np.array(elements), boundary)
+
+
+def _close(x, ref, tol=1e-12):
+    return abs(x - ref) <= tol * max(1.0, abs(ref))
+
+
+def _check_matrices(mesh, coeffs):
+    system = assemble(mesh, coeffs)
+    A_ref, B_ref = loop_assemble(mesh, coeffs)
+    assert np.abs(system.A.toarray() - A_ref).max() <= 1e-13 * np.abs(A_ref).max()
+    assert np.abs(system.B.toarray() - B_ref).max() <= 1e-13 * np.abs(B_ref).max()
+
+
+def _check_elements(per_element, mesh, coeffs):
+    ref = loop_nonobtuse(mesh, coeffs)
+    assert len(per_element) == len(ref)
+    for rec, (alpha, bound, weak, strict) in zip(per_element, ref):
+        assert _close(rec.alpha_max, alpha)
+        assert (rec.rhs_bound is None) == (bound is None)
+        if bound is not None:
+            assert _close(rec.rhs_bound, bound)
+        assert (rec.pass_weak, rec.pass_strict) == (weak, strict)
+
+
+@pytest.mark.parametrize("case", ["jittered", "mesh135"])
+def test_table_matches_loop_oracle(case):
+    if case == "jittered":
+        mesh, problems = jittered_triangle_mesh(7), ("ex5_5k10", "ex5_3")
+    else:
+        mesh, problems = generate_structured("mesh135", 17), ("ex5_2",)
+    for name in problems:
+        coeffs = catalog(name)
+        _check_matrices(mesh, coeffs)
+        rep = evaluate_conditions(mesh, coeffs)
+        _check_elements(rep.per_element, mesh, coeffs)
+        ref = loop_delaunay(mesh, coeffs)
+        assert len(rep.per_edge) == len(ref)
+        for rec, (edge, elems, lhs, theta, free, weak, strict) in zip(rep.per_edge, ref):
+            assert (rec.edge, rec.elements) == (edge, elems)
+            assert _close(rec.lhs, lhs) and _close(rec.theta, theta)
+            assert _close(rec.lhs_theta_free, free)
+            assert (rec.pass_weak, rec.pass_strict) == (weak, strict)
+
+
+def test_table_matches_loop_oracle_3d():
+    mesh = kuhn_cube(3)
+    coeffs = coefficients_from_json(
+        '{"diffusion": [[3.0, 1.0, 0.5], [1.0, 2.0, 0.2], [0.5, 0.2, 1.5]], '
+        '"convection": [1.0, -2.0, 0.5], "reaction": 0.7}')
+    _check_matrices(mesh, coeffs)
+    _check_elements(check_nonobtuse(mesh, coeffs).per_element, mesh, coeffs)
+
+
+def test_table_shapes():
+    mesh = generate_structured("mesh45", 5)
+    t = element_table(mesh, catalog("ex5_3"))
+    N = mesh.n_elements
+    assert t.geom.grad_basis.shape == (N, 3, 2)
+    assert t.quad_points.shape == (N, 3, 2) and t.quad_weights.shape == (N, 3)
+    assert t.convection_q.shape == (N, 3, 2) and t.reaction_q.shape == (N, 3)
+    assert t.D_K.shape == (N, 2, 2) and t.cosines.shape == (N, 3, 3)
+    assert abs(t.geom.volume.sum() - 1.0) <= 1e-14
