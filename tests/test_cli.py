@@ -130,6 +130,18 @@ def test_converge_output(tmp_path):
     assert float(last[4]) < float(lines[2].split(",")[4])  # error decreased
 
 
+def test_converge_threads_env(tmp_path, monkeypatch):
+    # EIGENFEM_THREADS is no longer read; a leftover setting must not change
+    # the run or the order of the levels
+    monkeypatch.setenv("EIGENFEM_THREADS", "2")
+    code = run(["converge", "--problem", "laplace", "--mesh", "mesh45",
+                "--J", "5,9,17", "--out", str(tmp_path)])
+    assert code == 0
+    lines = (tmp_path / "convergence.csv").read_text().splitlines()
+    Js = [int(l.split(",")[0]) for l in lines[2:]]
+    assert Js == [5, 9, 17]
+
+
 def test_config_errors_exit_one_under_optimize(tmp_path):
     # python -O strips assert statements, so input checks must raise
     src = os.path.dirname(os.path.dirname(eigenfem.__file__))
