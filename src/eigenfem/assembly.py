@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .coefficients import ProblemCoefficients, element_table
+from .coefficients import ElementTable, ProblemCoefficients, element_table
 from .element_geometry import quadrature_barycentric
 from .mesh import SimplicialMesh
 from .sparse_linalg import build_csr, save_matrix_market
@@ -45,13 +45,15 @@ class AssembledSystem:
     coeffs_ref: str
 
 
-def assemble(mesh: SimplicialMesh, coeffs: ProblemCoefficients) -> AssembledSystem:
+def assemble(mesh: SimplicialMesh, coeffs: ProblemCoefficients, *,
+             table: ElementTable | None = None) -> AssembledSystem:
     """Assemble stiffness and mass matrices over interior vertices.
 
     Local matrices of all elements are formed at once from the element
-    table and scattered as COO triplets in element order.
+    table (element_table(mesh, coeffs) unless one is passed) and scattered
+    as COO triplets in element order.
     """
-    t = element_table(mesh, coeffs)
+    t = element_table(mesh, coeffs) if table is None else table
     d = mesh.dim
     n = mesh.n_interior
     bary, _ = quadrature_barycentric(d)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .assembly import AssembledSystem, assemble
 from .coefficients import (CATALOG_NAMES, ProblemCoefficients, catalog,
-                           coefficients_from_json)
+                           coefficients_from_json, element_table)
 from .errors import (CoefficientError, EigenSolveError, MeshError,
                      NumericalFailureError, SingularMatrixError)
 from .eigensolver import convergence_study, property_suite, solve_smallest
@@ -186,8 +186,9 @@ def cmd_analyze(args) -> int:
     mesh = _load_mesh(args)
     config = RunConfig("analyze", args.problem, args.mesh, J=args.J,
                        node=args.node, ele=args.ele, out=args.out)
-    report = evaluate_conditions(mesh, coeffs)
-    system = assemble(mesh, coeffs)
+    table = element_table(mesh, coeffs)
+    report = evaluate_conditions(mesh, coeffs, table=table)
+    system = assemble(mesh, coeffs, table=table)
     cert = m_matrix_certificate(system.A)
 
     os.makedirs(args.out, exist_ok=True)

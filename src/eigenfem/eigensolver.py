@@ -25,7 +25,7 @@ from .assembly import AssembledSystem, assemble, rayleigh
 from .coefficients import ProblemCoefficients, catalog, REFERENCE_VALUES
 from .errors import EigenSolveError
 from .mesh import SimplicialMesh, generate_structured, mesh_spacing
-from .sparse_linalg import hessenberg_eigen, lu_factor, solve
+from .sparse_linalg import HESSENBERG_MAX_DIM, hessenberg_eigen, lu_factor, solve
 
 BREAKDOWN_REL_TOL = 1e-13
 DEFAULT_SEED = 1234
@@ -91,15 +91,27 @@ def solve_smallest(system: AssembledSystem, k: int, mass: str = "consistent",
     mass : "consistent" (full mass matrix) or "lumped" (row sums)
     tol : relative residual target; a pair counts as converged when
         ||A v - lambda B v|| / ||v|| <= tol * (max|A| + |lambda| max|B|)
-    max_krylov : Krylov dimension, default max(60, 4k), capped at n
+    max_krylov : Krylov dimension, at most HESSENBERG_MAX_DIM; default
+        max(60, 4k), clamped to HESSENBERG_MAX_DIM.  Either is capped at n.
+
+    Raises ValueError when k < 1, max_krylov > HESSENBERG_MAX_DIM, or the
+    Krylov dimension leaves no room beyond k pairs (m <= k < n), so with
+    n > HESSENBERG_MAX_DIM the largest k is HESSENBERG_MAX_DIM - 1.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
+    if max_krylov is not None and max_krylov > HESSENBERG_MAX_DIM:
+        raise ValueError(f"max_krylov {max_krylov} exceeds {HESSENBERG_MAX_DIM}")
     n = system.n
     if n == 0:
         raise EigenSolveError("mesh has no interior vertices; nothing to solve")
     k_eff = min(k, n)
-    m = min(max_krylov if max_krylov is not None else max(60, 4 * k_eff), n)
+    if max_krylov is None:
+        max_krylov = min(max(60, 4 * k_eff), HESSENBERG_MAX_DIM)
+    m = min(max_krylov, n)
+    if m <= k_eff and m < n:
+        raise ValueError(f"Krylov dimension {m} leaves no room for k = {k} "
+                         f"eigenpairs of an n = {n} pencil")
 
     apply_B, maxabs_B = _mass_apply(system, mass)
     maxabs_A = float(np.abs(system.A.data).max()) if system.A.nnz else 0.0

@@ -124,15 +124,50 @@ class SimplicialMesh:
 
 
 def _check_duplicate_vertices(vertices: np.ndarray) -> None:
-    from scipy.spatial import cKDTree
+    """Reject two vertices within DUPLICATE_TOL (Euclidean) of each other.
 
-    if vertices.shape[0] < 2:
+    Sort and sweep: two vertices within the tolerance have projections onto
+    a fixed unit direction within the tolerance too (plus rounding slack),
+    so they sit at some lag L in projection order with every gap at lag L
+    that small.  Lags grow until no pair is close enough in projection;
+    each candidate pair is kept only if its squared distance is at most
+    DUPLICATE_TOL**2.
+    """
+    n, d = vertices.shape
+    if n < 2:
         return
-    tree = cKDTree(vertices)
-    pairs = tree.query_pairs(DUPLICATE_TOL)
-    if pairs:
-        a, b = sorted(next(iter(pairs)))
-        raise MeshError(f"vertices {a} and {b} coincide within {DUPLICATE_TOL}")
+    u = np.sqrt(np.arange(1.0, d + 1.0))
+    u /= np.linalg.norm(u)
+    proj = vertices @ u
+    order = np.argsort(proj, kind="stable")
+    proj = proj[order]
+    # bounds the rounding of two projections and of their difference
+    slack = 32.0 * np.finfo(np.float64).eps * float(np.abs(vertices).max())
+    reach = DUPLICATE_TOL + slack
+    for lag in range(1, n):
+        near = np.flatnonzero(proj[lag:] - proj[:-lag] <= reach)
+        if near.size == 0:
+            return
+        i, j = order[near], order[near + lag]
+        diff = vertices[i] - vertices[j]
+        hit = np.flatnonzero(np.sum(diff * diff, axis=1) <= DUPLICATE_TOL ** 2)
+        if hit.size:
+            a, b = sorted((int(i[hit[0]]), int(j[hit[0]])))
+            raise MeshError(f"vertices {a} and {b} coincide within {DUPLICATE_TOL}")
+
+
+def _row_runs(rows: np.ndarray, *tiebreak: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort the rows of an integer array lexicographically and group equal rows.
+
+    Equal rows are ordered by the tiebreak keys (first key primary), then by
+    position.  Returns (order, starts): rows[order] is sorted and its r-th
+    run of equal rows is rows[order][starts[r]:starts[r + 1]].
+    """
+    order = np.lexsort((*tiebreak[::-1], *rows.T[::-1]))
+    s = rows[order]
+    change = np.any(s[1:] != s[:-1], axis=1)
+    starts = np.flatnonzero(np.concatenate(([len(s) > 0], change)))
+    return order, np.append(starts, len(s))
 
 
 def _check_boundary_flags(mesh: SimplicialMesh) -> None:
@@ -140,7 +175,8 @@ def _check_boundary_flags(mesh: SimplicialMesh) -> None:
     d = mesh.dim
     local = np.array(list(itertools.combinations(range(d + 1), d)))
     facets = np.sort(mesh.elements, axis=1)[:, local].reshape(-1, d)
-    facets, counts = np.unique(facets, axis=0, return_counts=True)
+    order, starts = _row_runs(facets)
+    facets, counts = facets[order[starts[:-1]]], np.diff(starts)
     shared = np.flatnonzero(counts > 2)
     if shared.size:
         f = shared[0]
@@ -177,20 +213,14 @@ def generate_structured(kind: str, J: int) -> SimplicialMesh:
     X, Y = np.meshgrid(t, t, indexing="xy")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
 
-    elements = []
-    for iy in range(J - 1):
-        for ix in range(J - 1):
-            a = iy * J + ix
-            b = a + 1
-            c = a + J + 1
-            d = a + J
-            if kind == "mesh45":
-                elements.append((a, b, c))
-                elements.append((a, c, d))
-            else:
-                elements.append((a, b, d))
-                elements.append((b, c, d))
-    elements = np.asarray(elements, dtype=np.int64)
+    # cell (ix, iy) has corners a (southwest), b = a + 1, c = a + J + 1, d = a + J
+    a = (np.arange(J - 1)[:, None] * J + np.arange(J - 1)).ravel()
+    b, c, d = a + 1, a + J + 1, a + J
+    if kind == "mesh45":
+        pair = ((a, b, c), (a, c, d))
+    else:
+        pair = ((a, b, d), (b, c, d))
+    elements = np.stack([np.column_stack(tri) for tri in pair], axis=1).reshape(-1, 3)
 
     ii, jj = np.meshgrid(np.arange(J), np.arange(J), indexing="xy")
     on_edge = (ii == 0) | (ii == J - 1) | (jj == 0) | (jj == J - 1)
@@ -218,9 +248,8 @@ def mesh_edges(mesh: SimplicialMesh) -> MeshEdges:
     local = np.array(list(itertools.combinations(range(mesh.dim + 1), 2)))
     pairs = np.sort(mesh.elements[:, local], axis=-1).reshape(-1, 2)
     elem = np.repeat(np.arange(mesh.n_elements), len(local))
-    order = np.lexsort((elem, pairs[:, 1], pairs[:, 0]))
-    vertices, starts = np.unique(pairs[order], axis=0, return_index=True)
-    return MeshEdges(vertices, np.append(starts, len(order)), elem[order])
+    order, starts = _row_runs(pairs, elem)
+    return MeshEdges(pairs[order[starts[:-1]]], starts, elem[order])
 
 
 def edge_patches(mesh: SimplicialMesh) -> dict[tuple[int, int], list[int]]:

@@ -200,9 +200,11 @@ def check_delaunay_type(mesh: SimplicialMesh, coeffs: ProblemCoefficients) -> De
     return _delaunay(mesh, element_table(mesh, coeffs), mesh_edges(mesh))
 
 
-def evaluate_conditions(mesh: SimplicialMesh, coeffs: ProblemCoefficients) -> ConditionReport:
-    """Run both mesh conditions and interior connectivity in one pass."""
-    t = element_table(mesh, coeffs)
+def evaluate_conditions(mesh: SimplicialMesh, coeffs: ProblemCoefficients, *,
+                        table: ElementTable | None = None) -> ConditionReport:
+    """Run both mesh conditions and interior connectivity in one pass, on
+    element_table(mesh, coeffs) unless a table is passed."""
+    t = element_table(mesh, coeffs) if table is None else table
     nob = _nonobtuse(mesh, t)
     if mesh.dim == 2:
         del_rep = _delaunay(mesh, t, mesh_edges(mesh))

@@ -156,6 +156,42 @@ def test_config_errors_exit_one_under_optimize(tmp_path):
         assert proc.returncode == 1, (argv, proc.stdout, proc.stderr)
 
 
+def test_solve_k51_within_krylov_cap(tmp_path):
+    # 4k = 204 exceeds the Hessenberg cap of 200; the default dimension is
+    # clamped to the cap instead of failing as a configuration error
+    code = run(["solve", "--problem", "laplace", "--mesh", "mesh45",
+                "--J", "21", "--k", "51", "--out", str(tmp_path)])
+    assert code == 0
+    props = json.loads((tmp_path / "properties.json").read_text())
+    assert props["k_requested"] == 51
+    assert props["k_converged"] == 51
+
+
+def test_cli_never_imports_scipy_spatial(tmp_path):
+    # the mesh checks are plain numpy; scipy.spatial costs 0.1 s per run
+    m = generate_structured("mesh45", 9)
+    node_text, ele_text = export_triangle(m)
+    (tmp_path / "m.node").write_text(node_text)
+    (tmp_path / "m.ele").write_text(ele_text)
+    src = os.path.dirname(os.path.dirname(eigenfem.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    script = ("import sys\n"
+              "from eigenfem.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "sys.exit(100 + code if 'scipy.spatial' in sys.modules else code)\n")
+    for argv, expected in (
+            (["analyze", "--problem", "ex5_1", "--mesh", "import",
+              "--node", str(tmp_path / "m.node"), "--ele", str(tmp_path / "m.ele")], 0),
+            (["solve", "--problem", "ex5_2", "--mesh", "mesh45", "--J", "9",
+              "--k", "2"], 0),
+            (["converge", "--problem", "laplace", "--mesh", "mesh45",
+              "--J", "5,9,17"], 0)):
+        proc = subprocess.run([sys.executable, "-c", script, *argv,
+                               "--out", str(tmp_path / argv[0])],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == expected, (argv, proc.stdout, proc.stderr)
+
+
 def test_converge_bad_J_list(tmp_path):
     code = run(["converge", "--problem", "laplace", "--mesh", "mesh45",
                 "--J", "9,5", "--out", str(tmp_path)])

@@ -199,3 +199,19 @@ def test_convergence_study_validates_input():
         convergence_study("laplace", "mesh45", [11, 21])
     with pytest.raises(ValueError):
         convergence_study("laplace", "mesh45", [21, 11, 41])
+
+
+def test_krylov_dimension_validated_up_front():
+    _, s = system_for("laplace", "mesh45", 21)   # n = 361 > 200
+    with pytest.raises(ValueError):
+        solve_smallest(s, k=2, max_krylov=201)
+    with pytest.raises(ValueError):
+        solve_smallest(s, k=200)                 # clamped dimension 200 <= k
+    with pytest.raises(ValueError):
+        solve_smallest(s, k=400)                 # k beyond n, dimension 200 < n
+    with pytest.raises(ValueError):
+        solve_smallest(s, k=10, max_krylov=10)
+    # on a small pencil the whole space is the Krylov space
+    _, small = system_for("laplace", "mesh45", 5)  # n = 9
+    sol = solve_smallest(small, k=9)
+    assert sol.k_converged == 9

@@ -8,6 +8,7 @@ from eigenfem import (MeshError, SimplicialMesh, edge_patches,
                       interior_connectivity, load_triangle, mesh_from_json,
                       mesh_spacing, mesh_to_json)
 from eigenfem.element_geometry import element_geometry
+from eigenfem.mesh import DUPLICATE_TOL, mesh_edges
 
 
 def test_structured_counts():
@@ -105,6 +106,101 @@ def test_from_arrays_rejects_duplicate_vertices():
     bnd = np.ones(4, dtype=bool)
     with pytest.raises(MeshError):
         SimplicialMesh.from_arrays(2, verts, elems, bnd)
+
+
+def _duplicate_verdict(vertices):
+    """from_arrays on the points plus a large enclosing simplex: the error
+    message of the duplicate-vertex check, or None if it passes."""
+    n, d = vertices.shape
+    scale = 10.0 * max(1.0, float(np.abs(vertices).max()))
+    corners = scale * np.vstack([-np.ones(d), 3.0 * np.eye(d) - 1.0])
+    verts = np.vstack([vertices, corners])
+    elems = np.arange(n, n + d + 1)[None, :]
+    try:
+        SimplicialMesh.from_arrays(d, verts, elems, np.ones(n + d + 1, dtype=bool))
+    except MeshError as exc:
+        return str(exc)
+    return None
+
+
+def test_duplicate_check_matches_kdtree_oracle():
+    # the sweep must reject exactly where cKDTree.query_pairs finds a pair
+    # within DUPLICATE_TOL, and name one of those pairs
+    from scipy.spatial import cKDTree
+
+    rng = np.random.default_rng(20261018)
+    n_reject = n_pass = 0
+    for d in (2, 3):
+        for scale in (1e-3, 1.0, 1e4):
+            for grid in (False, True):
+                if grid:
+                    # distinct cells of a coarse grid: coordinates tie often
+                    cells = rng.choice(40 ** d, size=300, replace=False)
+                    pts = np.column_stack(np.unravel_index(cells, (40,) * d)) / 40.0
+                else:
+                    pts = rng.random((300, d))
+                pts = scale * (pts - 0.5)
+                for factor in (None, 0.0, 0.3, 0.99, 1.01, 3.0):
+                    v = pts.copy()
+                    if factor is not None:
+                        src = rng.integers(len(v), size=3)
+                        step = rng.standard_normal((3, d))
+                        step /= np.linalg.norm(step, axis=1, keepdims=True)
+                        v = np.vstack([v, v[src] + factor * DUPLICATE_TOL * step])
+                        v = v[rng.permutation(len(v))]
+                    pairs = cKDTree(v).query_pairs(DUPLICATE_TOL)
+                    msg = _duplicate_verdict(v)
+                    assert (msg is not None) == bool(pairs), (d, scale, grid, factor)
+                    if msg is None:
+                        n_pass += 1
+                        continue
+                    n_reject += 1
+                    words = msg.split()
+                    assert words[0] == "vertices" and words[4] == "coincide", msg
+                    assert (int(words[1]), int(words[3])) in pairs, msg
+    assert n_reject > 0 and n_pass > 0
+
+
+def test_duplicate_check_finds_pairs_straddled_in_projection():
+    # a pair 0.99 tol apart along the sweep direction with k vertices between
+    # them in projection order, 2, 4, ... tol off to the side: lag k + 1
+    for d in (2, 3):
+        u = np.sqrt(np.arange(1.0, d + 1.0))
+        u /= np.linalg.norm(u)
+        side = np.linalg.svd(u[None, :])[2][1]
+        base = np.full(d, 0.25)
+        for k in (1, 4):
+            mid = [base + (j + 1) / (k + 2) * 0.99 * DUPLICATE_TOL * u
+                   + 2.0 * (j + 1) * DUPLICATE_TOL * side for j in range(k)]
+            v = np.vstack([base, *mid, base + 0.99 * DUPLICATE_TOL * u])
+            assert _duplicate_verdict(v) == f"vertices 0 and {k + 1} coincide within {DUPLICATE_TOL}"
+            assert _duplicate_verdict(v[1:]) is None
+
+
+def test_row_runs_match_np_unique():
+    from eigenfem.mesh import _row_runs
+
+    meshes = [generate_structured("mesh45", 7), generate_structured("mesh135", 6)]
+    v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.4, 0.6]])
+    meshes.append(SimplicialMesh.from_arrays(
+        2, v, [[0, 1, 4], [1, 3, 4], [3, 2, 4], [2, 0, 4]], [1, 1, 1, 1, 0]))
+    for m in meshes:
+        for width in (2, 3):
+            local = np.array([(0, 1), (0, 2), (1, 2)]) if width == 2 else np.arange(3)[None]
+            rows = np.sort(m.elements, axis=1)[:, local].reshape(-1, width)
+            order, starts = _row_runs(rows)
+            want, index, counts = np.unique(rows, axis=0, return_index=True,
+                                            return_counts=True)
+            np.testing.assert_array_equal(rows[order[starts[:-1]]], want)
+            np.testing.assert_array_equal(order[starts[:-1]], index)
+            np.testing.assert_array_equal(np.diff(starts), counts)
+        e = mesh_edges(m)
+        pairs = np.sort(m.elements[:, [[0, 1], [0, 2], [1, 2]]], axis=-1).reshape(-1, 2)
+        want, counts = np.unique(pairs, axis=0, return_counts=True)
+        np.testing.assert_array_equal(e.vertices, want)
+        np.testing.assert_array_equal(np.diff(e.offsets), counts)
+    order, starts = _row_runs(np.zeros((0, 2), dtype=np.int64))
+    assert order.size == 0 and starts.tolist() == [0]
 
 
 def test_from_arrays_rejects_degenerate_element():
