@@ -103,8 +103,7 @@ def _write_json(path: str, config: RunConfig, payload: dict) -> None:
 def _write_csv(path: str, config: RunConfig, header: list, rows: list) -> None:
     lines = ["# config: " + json.dumps(_json_ready(config.to_dict()), sort_keys=True)]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(str(c) for c in row))
+    lines.extend(",".join(map(str, row)) for row in rows)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -115,27 +114,26 @@ def write_vtk(path: str, mesh: SimplicialMesh, point_values: np.ndarray,
     if point_values.shape != (mesh.n_vertices,):
         raise ValueError(f"expected {mesh.n_vertices} point values, got shape "
                          f"{point_values.shape}")
-    lines = ["# vtk DataFile Version 3.0",
-             f"eigenfem {name} on {mesh.label}",
-             "ASCII",
-             "DATASET UNSTRUCTURED_GRID",
-             f"POINTS {mesh.n_vertices} double"]
-    for v in mesh.vertices:
-        coords = list(v) + [0.0] * (3 - mesh.dim)
-        lines.append(" ".join(repr(float(c)) for c in coords))
+    coords = np.zeros((mesh.n_vertices, 3))
+    coords[:, :mesh.dim] = mesh.vertices
     npe = mesh.dim + 1
-    lines.append(f"CELLS {mesh.n_elements} {mesh.n_elements * (npe + 1)}")
-    for e in mesh.elements:
-        lines.append(" ".join([str(npe)] + [str(int(i)) for i in e]))
-    lines.append(f"CELL_TYPES {mesh.n_elements}")
-    lines.extend([str(_VTK_CELL_TYPES[mesh.dim])] * mesh.n_elements)
-    lines.append(f"POINT_DATA {mesh.n_vertices}")
-    lines.append(f"SCALARS {name} double 1")
-    lines.append("LOOKUP_TABLE default")
-    for val in point_values:
-        lines.append(repr(float(val)))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("# vtk DataFile Version 3.0\n"
+                 f"eigenfem {name} on {mesh.label}\n"
+                 "ASCII\n"
+                 "DATASET UNSTRUCTURED_GRID\n"
+                 f"POINTS {mesh.n_vertices} double\n")
+        fh.writelines(" ".join(map(repr, row)) + "\n" for row in coords.tolist())
+        fh.write(f"CELLS {mesh.n_elements} {mesh.n_elements * (npe + 1)}\n")
+        fh.writelines(f"{npe} " + " ".join(map(str, row)) + "\n"
+                      for row in mesh.elements.tolist())
+        fh.write(f"CELL_TYPES {mesh.n_elements}\n")
+        fh.write(f"{_VTK_CELL_TYPES[mesh.dim]}\n" * mesh.n_elements)
+        fh.write(f"POINT_DATA {mesh.n_vertices}\n"
+                 f"SCALARS {name} double 1\n"
+                 "LOOKUP_TABLE default\n")
+        fh.writelines(repr(v) + "\n"
+                      for v in np.asarray(point_values, dtype=np.float64).tolist())
 
 
 def _load_problem(args) -> ProblemCoefficients:

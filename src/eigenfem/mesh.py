@@ -298,9 +298,24 @@ def interior_connectivity(mesh: SimplicialMesh) -> InteriorConnectivity:
 
 def _data_lines(text: str):
     for line in text.splitlines():
-        body = line.split("#", 1)[0].strip()
-        if body:
-            yield body.split()
+        toks = line.split("#", 1)[0].split()
+        if toks:
+            yield toks
+
+
+def _columns(rows: list, want: int, kind: str) -> list:
+    """The fields of the data lines, column by column; every line must hold
+    exactly want fields."""
+    for r, toks in enumerate(rows):
+        if len(toks) != want:
+            raise MeshError(f"{kind} line {r + 2}: expected {want} fields, got {len(toks)}")
+    return list(zip(*rows))
+
+
+def _stack(conv, dtype, *cols) -> np.ndarray:
+    """Equal-length field columns converted by conv, as an (n, len(cols)) array."""
+    flat = itertools.chain.from_iterable(zip(*cols))
+    return np.fromiter(map(conv, flat), dtype, len(cols) * len(cols[0])).reshape(-1, len(cols))
 
 
 def parse_node(text: str):
@@ -324,16 +339,9 @@ def parse_node(text: str):
     rows = list(lines)
     if len(rows) != n_v:
         raise MeshError(f".node header promises {n_v} vertices, found {len(rows)}")
-    want = 1 + 2 + n_attr + 1
-    ids = np.empty(n_v, dtype=np.int64)
-    coords = np.empty((n_v, 2), dtype=np.float64)
-    markers = np.empty(n_v, dtype=np.int64)
-    for r, toks in enumerate(rows):
-        if len(toks) != want:
-            raise MeshError(f".node line {r + 2}: expected {want} fields, got {len(toks)}")
-        ids[r] = int(toks[0])
-        coords[r] = [float(toks[1]), float(toks[2])]
-        markers[r] = int(toks[-1])
+    cols = _columns(rows, 1 + 2 + n_attr + 1, ".node")
+    ids, markers = _stack(int, np.int64, cols[0], cols[-1]).T
+    coords = _stack(float, np.float64, cols[1], cols[2])
 
     base = int(ids.min())
     if base not in (0, 1):
@@ -362,12 +370,7 @@ def parse_ele(text: str, n_vertices: int, base: int) -> np.ndarray:
     rows = list(lines)
     if len(rows) != n_e:
         raise MeshError(f".ele header promises {n_e} elements, found {len(rows)}")
-    want = 1 + 3 + n_attr
-    elems = np.empty((n_e, 3), dtype=np.int64)
-    for r, toks in enumerate(rows):
-        if len(toks) != want:
-            raise MeshError(f".ele line {r + 2}: expected {want} fields, got {len(toks)}")
-        elems[r] = [int(toks[1]) - base, int(toks[2]) - base, int(toks[3]) - base]
+    elems = _stack(int, np.int64, *_columns(rows, 1 + 3 + n_attr, ".ele")[1:4]) - base
     if elems.min() < 0 or elems.max() >= n_vertices:
         raise MeshError(".ele references a vertex outside the .node file")
     return elems

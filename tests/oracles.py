@@ -11,7 +11,9 @@ Everything here deliberately avoids the code paths under test:
 * loop_assemble, loop_nonobtuse and loop_delaunay redo assembly and the
   mesh conditions one element and one edge at a time, calling the
   coefficient functions at one point per call, never the batched element
-  table.
+  table;
+* loop_write_vtk and loop_parse_node / loop_parse_ele format and parse
+  files one value at a time, never through bulk array conversions.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from eigenfem.element_geometry import quadrature_barycentric
+from eigenfem.errors import MeshError
 
 
 def dense_generalized_eigs(A, B, k: int | None = None) -> np.ndarray:
@@ -270,3 +273,75 @@ def loop_delaunay(mesh, coeffs) -> list[tuple]:
         val = lhs(theta)
         out.append((edge, (K, Kp), val, theta, lhs(0.0), val <= math.pi, val < math.pi))
     return out
+
+
+# ---------------------------------------------------------------------------
+# value-by-value reference for the VTK writer and the Triangle parser
+# ---------------------------------------------------------------------------
+
+def loop_write_vtk(path, mesh, point_values, name: str = "principal") -> None:
+    """Legacy ASCII VTK unstructured grid, one formatted value at a time."""
+    lines = ["# vtk DataFile Version 3.0",
+             f"eigenfem {name} on {mesh.label}",
+             "ASCII",
+             "DATASET UNSTRUCTURED_GRID",
+             f"POINTS {mesh.n_vertices} double"]
+    for v in mesh.vertices:
+        coords = list(v) + [0.0] * (3 - mesh.dim)
+        lines.append(" ".join(repr(float(c)) for c in coords))
+    npe = mesh.dim + 1
+    lines.append(f"CELLS {mesh.n_elements} {mesh.n_elements * (npe + 1)}")
+    for e in mesh.elements:
+        lines.append(" ".join([str(npe)] + [str(int(i)) for i in e]))
+    lines.append(f"CELL_TYPES {mesh.n_elements}")
+    lines.extend([str({2: 5, 3: 10}[mesh.dim])] * mesh.n_elements)
+    lines.append(f"POINT_DATA {mesh.n_vertices}")
+    lines.append(f"SCALARS {name} double 1")
+    lines.append("LOOKUP_TABLE default")
+    for val in point_values:
+        lines.append(repr(float(val)))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _loop_data_lines(text: str):
+    for line in text.splitlines():
+        body = line.split("#", 1)[0].strip()
+        if body:
+            yield body.split()
+
+
+def loop_parse_node(text: str):
+    """(vertices, boundary, index_base) of .node text, one field at a time."""
+    lines = _loop_data_lines(text)
+    n_v, dim, n_attr, marker_flag = (int(tok) for tok in next(lines))
+    rows = list(lines)
+    if len(rows) != n_v:
+        raise MeshError(f".node header promises {n_v} vertices, found {len(rows)}")
+    want = 1 + 2 + n_attr + 1
+    ids = np.empty(n_v, dtype=np.int64)
+    coords = np.empty((n_v, 2), dtype=np.float64)
+    markers = np.empty(n_v, dtype=np.int64)
+    for r, toks in enumerate(rows):
+        if len(toks) != want:
+            raise MeshError(f".node line {r + 2}: expected {want} fields, got {len(toks)}")
+        ids[r] = int(toks[0])
+        coords[r] = [float(toks[1]), float(toks[2])]
+        markers[r] = int(toks[-1])
+    base = int(ids.min())
+    order = np.argsort(ids)
+    return coords[order], markers[order] != 0, base
+
+
+def loop_parse_ele(text: str, base: int) -> np.ndarray:
+    """0-based (n, 3) elements of .ele text, one field at a time."""
+    lines = _loop_data_lines(text)
+    n_e, _, n_attr = (int(tok) for tok in next(lines))
+    rows = list(lines)
+    want = 1 + 3 + n_attr
+    elems = np.empty((n_e, 3), dtype=np.int64)
+    for r, toks in enumerate(rows):
+        if len(toks) != want:
+            raise MeshError(f".ele line {r + 2}: expected {want} fields, got {len(toks)}")
+        elems[r] = [int(toks[1]) - base, int(toks[2]) - base, int(toks[3]) - base]
+    return elems

@@ -10,7 +10,10 @@ import pytest
 
 import eigenfem
 from eigenfem import export_triangle, generate_structured
-from eigenfem.cli import main
+from eigenfem.cli import main, write_vtk
+
+from oracles import loop_write_vtk
+from test_element_table import kuhn_cube
 
 
 def run(argv):
@@ -114,6 +117,29 @@ def test_solve_determinism(tmp_path):
     p1["config"].pop("out")
     p2["config"].pop("out")
     assert p1 == p2
+
+
+def test_vtk_matches_loop_writer_2d(tmp_path):
+    assert run(["solve", "--problem", "ex5_1", "--mesh", "mesh45", "--J", "5",
+                "--k", "2", "--out", str(tmp_path)]) == 0
+    got = (tmp_path / "principal.vtk").read_bytes()
+    lines = got.decode().splitlines()
+    mesh = generate_structured("mesh45", 5)
+    pd = lines.index(f"POINT_DATA {mesh.n_vertices}")
+    values = np.array([float(x) for x in lines[pd + 3:]])
+    assert np.count_nonzero(values) == mesh.n_interior
+    loop_write_vtk(tmp_path / "loop.vtk", mesh, values)
+    assert got == (tmp_path / "loop.vtk").read_bytes()
+
+
+def test_vtk_matches_loop_writer_3d(tmp_path):
+    mesh = kuhn_cube(2)
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal(mesh.n_vertices) * 10.0 ** rng.integers(-20, 20, mesh.n_vertices)
+    values[:3] = [-0.0, 1.0, 1e-300]
+    write_vtk(str(tmp_path / "bulk.vtk"), mesh, values, name="u")
+    loop_write_vtk(tmp_path / "loop.vtk", mesh, values, name="u")
+    assert (tmp_path / "bulk.vtk").read_bytes() == (tmp_path / "loop.vtk").read_bytes()
 
 
 def test_converge_output(tmp_path):

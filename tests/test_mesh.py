@@ -8,7 +8,9 @@ from eigenfem import (MeshError, SimplicialMesh, edge_patches,
                       interior_connectivity, load_triangle, mesh_from_json,
                       mesh_spacing, mesh_to_json)
 from eigenfem.element_geometry import element_geometry
-from eigenfem.mesh import DUPLICATE_TOL, mesh_edges
+from eigenfem.mesh import DUPLICATE_TOL, mesh_edges, parse_ele, parse_node
+
+from oracles import loop_parse_ele, loop_parse_node
 
 
 def test_structured_counts():
@@ -273,3 +275,87 @@ def test_import_mesh_zero_based():
     m = import_mesh(node_text, ele_text)
     assert m.n_vertices == 4 and m.n_elements == 2
     assert m.boundary.all()
+
+
+def _jittered_triangle_text(seed: int, J: int = 33):
+    """1-based .node/.ele text of a J x J grid with jittered interior
+    vertices and a random diagonal in each cell, coordinates in repr."""
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 1.0, J)
+    X, Y = np.meshgrid(t, t)
+    xy = np.column_stack([X.ravel(), Y.ravel()])
+    ii, jj = np.meshgrid(np.arange(J), np.arange(J))
+    boundary = ((ii == 0) | (ii == J - 1) | (jj == 0) | (jj == J - 1)).ravel()
+    shift = rng.uniform(-0.2 / (J - 1), 0.2 / (J - 1), size=xy.shape)
+    xy = xy + np.where(boundary[:, None], 0.0, shift)
+    a = (np.arange(J - 1)[:, None] * J + np.arange(J - 1)).ravel()
+    b, c, d = a + 1, a + J + 1, a + J
+    flip = rng.random(a.size) < 0.5
+    tris = np.concatenate([np.where(flip[:, None], np.column_stack([a, b, d]),
+                                    np.column_stack([a, b, c])),
+                           np.where(flip[:, None], np.column_stack([b, c, d]),
+                                    np.column_stack([a, c, d]))])
+    node = [f"{len(xy)} 2 0 1"] + [f"{i + 1} {x!r} {y!r} {int(f)}" for i, ((x, y), f)
+                                   in enumerate(zip(xy.tolist(), boundary))]
+    ele = [f"{len(tris)} 3 0"] + [f"{k + 1} {p + 1} {q + 1} {r + 1}"
+                                  for k, (p, q, r) in enumerate(tris.tolist())]
+    return "\n".join(node) + "\n", "\n".join(ele) + "\n"
+
+
+def _assert_parse_matches_loop(node_text, ele_text):
+    vertices, boundary, base = parse_node(node_text)
+    want_v, want_b, want_base = loop_parse_node(node_text)
+    assert base == want_base
+    assert vertices.dtype == want_v.dtype and vertices.shape == want_v.shape
+    assert np.array_equal(vertices.view(np.int64), want_v.view(np.int64))
+    assert np.array_equal(boundary, want_b)
+    elements = parse_ele(ele_text, len(vertices), base)
+    want_e = loop_parse_ele(ele_text, base)
+    assert elements.dtype == want_e.dtype
+    assert np.array_equal(elements, want_e)
+    return vertices, boundary, elements
+
+
+def test_parse_bit_identical_to_loop_parser_jittered():
+    node_text, ele_text = _jittered_triangle_text(seed=7)
+    vertices, _, elements = _assert_parse_matches_loop(node_text, ele_text)
+    assert vertices.shape == (33 * 33, 2) and elements.shape == (2 * 32 * 32, 3)
+    import_mesh(node_text, ele_text)   # and it is a valid mesh
+
+
+def test_parse_bit_identical_with_attributes_and_comments():
+    # two vertex attributes, one element attribute, out-of-order ids,
+    # comment lines, trailing comments, blank lines and odd spacing
+    node_text = ("# unit square, centre vertex\n"
+                 "5 2 2 1   # header\n"
+                 "\n"
+                 "3\t1.0 1.0  7.5 -1 1\n"
+                 "1 0.0 0.0 0 0 1  # corner\n"
+                 "   2 1.0 0.0 1e-3 2 1\n"
+                 "5 0.30000000000000004 0.5 3 3 0\n"
+                 "4 0.0 1.0 0.1 0.2 1\n"
+                 "# end\n")
+    ele_text = ("4 3 1\n"
+                "1 1 2 5 10\n"
+                "# comment between elements\n"
+                "2 2 3 5 10\n"
+                "3 3 4 5 11  # trailing\n"
+                "4 4 1 5 11\n")
+    vertices, boundary, _ = _assert_parse_matches_loop(node_text, ele_text)
+    assert vertices[2].tolist() == [1.0, 1.0]
+    assert boundary.tolist() == [True, True, True, True, False]
+
+
+def test_parse_bit_identical_zero_based():
+    node_text = ("4 2 0 1\n"
+                 "0 0.0 0.0 1\n1 1.0 0.0 1\n2 1.0 1.0 1\n3 0.0 1.0 1\n")
+    ele_text = "2 3 0\n0 0 1 2\n1 0 2 3\n"
+    _, _, elements = _assert_parse_matches_loop(node_text, ele_text)
+    assert elements.tolist() == [[0, 1, 2], [0, 2, 3]]
+
+
+def test_parse_field_count_messages():
+    with pytest.raises(MeshError, match=r"^\.node line 3: expected 4 fields, got 5$"):
+        parse_node("2 2 0 1\n1 0.0 0.0 1\n2 1.0 0.0 1 9\n")
+    with pytest.raises(MeshError, match=r"^\.ele line 2: expected 4 fields, got 3$"):
+        parse_ele("1 3 0\n1 1 2\n", 3, 1)
