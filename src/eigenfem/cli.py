@@ -12,8 +12,9 @@ Three subcommands:
   write convergence.csv.
 
 Exit codes: 0 success/certified, 1 configuration or I/O error, 2 weak
-pass only, 3 condition failure, 4 solver failure.  Every output file
-embeds the run configuration.
+pass only, 3 condition failure, 4 solver failure (for ``solve`` also: fewer
+than min(k, n) pairs converged; the outputs are still written).  Every
+output file embeds the run configuration.
 """
 
 from __future__ import annotations
@@ -269,7 +270,8 @@ def cmd_solve(args) -> int:
         "lambda_1": {"re": sol.eigenvalues[0].real, "im": sol.eigenvalues[0].imag},
         "k_requested": sol.k_requested,
         "k_converged": sol.k_converged,
-        "restarts": sol.restarts,
+        "krylov_dim": sol.krylov_dim,
+        "n_solves": sol.n_solves,
         "properties": dataclasses.asdict(props),
         "certificate": {
             "is_m_matrix": cert.is_m_matrix,
@@ -292,6 +294,11 @@ def cmd_solve(args) -> int:
     print(f"certificate   = irreducible M-matrix: "
           f"{'yes' if cert.certified_irreducible_m_matrix else 'no'}")
     print(f"max residual  = {max_res:.3g} over {sol.k_converged} converged pairs")
+    k_eff = min(sol.k_requested, system.n)
+    if sol.k_converged < k_eff:
+        print(f"solver failure: {sol.k_converged} of {k_eff} eigenpairs converged",
+              file=sys.stderr)
+        return EXIT_SOLVER
     return EXIT_OK
 
 

@@ -1,15 +1,13 @@
 """Generalized eigensolver for the assembled pencil (A, B).
 
-The smallest-modulus eigenvalues of A v = lambda B v are found by Arnoldi
-iteration on the shift-inverted operator v -> A^{-1} B v with full (twice-
-applied classical Gram-Schmidt) reorthogonalization.  Ritz values mu of
-the small Hessenberg matrix map back as lambda = 1/mu, so the largest
-|mu| give the smallest |lambda|.
+The smallest-modulus eigenvalues of A v = lambda B v are found by ARPACK's
+implicitly restarted Arnoldi method in shift-invert mode (sigma = 0): the
+operator v -> A^{-1} B v reuses one sparse LU of A, and its largest Ritz
+values mu map back as lambda = 1/mu.  Pencils too small for ARPACK
+(k >= n - 1) go to dense QZ instead.
 
-The iteration is deterministic: it starts from the all-ones vector, and
-on a restart (not all requested pairs converged, or an invariant subspace
-was hit early) continues from the sum of the current Ritz vectors plus a
-seeded random perturbation.
+The iteration is deterministic: it starts from the all-ones vector and
+ARPACK's random generator is seeded.
 """
 
 from __future__ import annotations
@@ -20,16 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
 from .assembly import AssembledSystem, assemble, rayleigh
 from .coefficients import ProblemCoefficients, catalog, REFERENCE_VALUES
 from .errors import EigenSolveError
 from .mesh import SimplicialMesh, generate_structured, mesh_spacing
-from .sparse_linalg import HESSENBERG_MAX_DIM, lu_factor, solve
+from .sparse_linalg import lu_factor, solve
 
-BREAKDOWN_REL_TOL = 1e-13
 DEFAULT_SEED = 1234
-MAX_RESTARTS = 8
 
 # Tolerances of the property suite.
 REAL_TOL = 1e-8          # |Im lambda_1| <= REAL_TOL * |lambda_1|
@@ -53,21 +51,21 @@ class EigenSolution:
     k_requested: int
     k_converged: int
     mass: str
-    restarts: int
+    krylov_dim: int                  # ARPACK's ncv (n for the dense path)
+    n_solves: int                    # LU solves, one per operator application
 
     @property
     def lambda1(self) -> complex:
         return complex(self.eigenvalues[0])
 
 
-def _mass_apply(system: AssembledSystem, mass: str):
+def _mass_matrix(system: AssembledSystem, mass: str):
     if mass == "consistent":
         B = system.B
-        return (lambda v: B @ v), float(np.abs(B.data).max()) if B.nnz else 0.0
+        return B, float(np.abs(B.data).max()) if B.nnz else 0.0
     if mass == "lumped":
         w = system.B_lumped
-        # the transposes let one function scale a vector or a block's rows
-        return (lambda v: (w * v.T).T), float(np.abs(w).max())
+        return scipy.sparse.diags(w, format="csr"), float(np.abs(w).max())
     raise ValueError(f"unknown mass treatment: {mass!r}")
 
 
@@ -88,146 +86,88 @@ def solve_smallest(system: AssembledSystem, k: int, mass: str = "consistent",
     Parameters
     ----------
     system : assembled matrices from assembly.assemble
-    k : number of eigenpairs requested (>= 1)
+    k : number of eigenpairs requested (>= 1); more than n gives n pairs
     mass : "consistent" (full mass matrix) or "lumped" (row sums)
     tol : relative residual target; a pair counts as converged when
         ||A v - lambda B v|| / ||v|| <= tol * (max|A| + |lambda| max|B|)
-    max_krylov : Krylov dimension, at most HESSENBERG_MAX_DIM; default
-        max(60, 4k), clamped to HESSENBERG_MAX_DIM.  Either is capped at n.
+    max_krylov : ARPACK's Krylov dimension ncv, capped at n; default
+        min(max(2k + 1, 20), n).  ARPACK needs k + 1 < ncv.
 
-    Raises ValueError when k < 1, max_krylov > HESSENBERG_MAX_DIM, or the
-    Krylov dimension leaves no room beyond k pairs (m <= k < n), so with
-    n > HESSENBERG_MAX_DIM the largest k is HESSENBERG_MAX_DIM - 1.
+    Raises ValueError when k < 1, and (from ARPACK) when the Krylov
+    dimension is at most k + 1.  With k >= n - 1 the pencil is solved by
+    dense QZ and max_krylov is not used.  If ARPACK stops before every
+    pair converges, the pairs it has are returned, flagged by the residual
+    test.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    if max_krylov is not None and max_krylov > HESSENBERG_MAX_DIM:
-        raise ValueError(f"max_krylov {max_krylov} exceeds {HESSENBERG_MAX_DIM}")
     n = system.n
     if n == 0:
         raise EigenSolveError("mesh has no interior vertices; nothing to solve")
     k_eff = min(k, n)
-    if max_krylov is None:
-        max_krylov = min(max(60, 4 * k_eff), HESSENBERG_MAX_DIM)
-    m = min(max_krylov, n)
-    if m <= k_eff and m < n:
-        raise ValueError(f"Krylov dimension {m} leaves no room for k = {k} "
-                         f"eigenpairs of an n = {n} pencil")
 
-    apply_B, maxabs_B = _mass_apply(system, mass)
-    maxabs_A = float(np.abs(system.A.data).max()) if system.A.nnz else 0.0
-    factors = lu_factor(system.A)
-    rng = np.random.default_rng(seed)
+    B, maxabs_B = _mass_matrix(system, mass)
+    A = system.A
+    maxabs_A = float(np.abs(A.data).max()) if A.nnz else 0.0
+    # factored on both paths, so a singular A raises SingularMatrixError
+    factors = lu_factor(A)
 
-    best: EigenSolution | None = None
-    v0 = np.ones(n)
+    if k_eff >= n - 1:
+        lam, U = scipy.linalg.eig(A.toarray(), B.toarray())
+        pick = np.argsort(np.abs(lam), kind="stable")[:k_eff]
+        lam, U = lam[pick], U[:, pick].astype(np.complex128)
+        krylov_dim, n_solves = n, 0
+    else:
+        n_solves = 0
 
-    for restart in range(MAX_RESTARTS + 1):
-        V = np.zeros((n, m + 1), order="F")
-        H = np.zeros((m + 1, m))
-        hmax = 1e-300
-        nrm = float(np.linalg.norm(v0))
-        if nrm == 0.0 or not np.isfinite(nrm):
-            v0 = rng.standard_normal(n)
-            nrm = float(np.linalg.norm(v0))
-        V[:, 0] = v0 / nrm
+        def apply_inverse(x):
+            nonlocal n_solves
+            n_solves += 1
+            return solve(factors, x)
 
-        m_eff = m
-        for j in range(m):
-            w = solve(factors, apply_B(V[:, j]))
-            # classical Gram-Schmidt, applied twice
-            Vj = V[:, :j + 1]
-            h1 = Vj.T @ w
-            w = w - Vj @ h1
-            h2 = Vj.T @ w
-            w = w - Vj @ h2
-            H[:j + 1, j] = h1 + h2
-            beta = float(np.linalg.norm(w))
-            hmax = max(hmax, float(np.abs(H[:j + 1, j]).max()))
-            if beta <= BREAKDOWN_REL_TOL * hmax:
-                # Invariant subspace found.  Keep the block structure
-                # (H[j+1, j] = 0) and continue in a fresh random direction
-                # so higher pairs can still be captured.
-                H[j + 1, j] = 0.0
-                if j + 1 < m:
-                    fresh = rng.standard_normal(n)
-                    Vj1 = V[:, :j + 1]
-                    fresh = fresh - Vj1 @ (Vj1.T @ fresh)
-                    fresh = fresh - Vj1 @ (Vj1.T @ fresh)
-                    fn = float(np.linalg.norm(fresh))
-                    if fn <= BREAKDOWN_REL_TOL:
-                        m_eff = j + 1
-                        break
-                    V[:, j + 1] = fresh / fn
-                else:
-                    m_eff = j + 1
-            else:
-                H[j + 1, j] = beta
-                hmax = max(hmax, beta)
-                V[:, j + 1] = w / beta
+        krylov_dim = min(max_krylov if max_krylov is not None
+                         else max(2 * k_eff + 1, 20), n)
+        op_inv = LinearOperator((n, n), matvec=apply_inverse, dtype=np.float64)
+        try:
+            lam, U = eigs(A, k=k_eff, M=B, sigma=0, OPinv=op_inv, v0=np.ones(n),
+                          tol=0, ncv=krylov_dim, rng=seed)
+        except ArpackNoConvergence as exc:
+            lam, U = exc.eigenvalues, exc.eigenvectors
 
-        # One LAPACK call gives the Ritz values and vectors; geev returns a
-        # complex pair as exact conjugates, +Im first, so the stable sort
-        # keeps the pair order.
-        mu, Y = scipy.linalg.eig(H[:m_eff, :m_eff])
-        pick = np.argsort(-np.abs(mu), kind="stable")[:k_eff]
-        mu, Ys = mu[pick], Y[:, pick]
-        # U = V Y as two real products, written as (Y^T V^T)^T so that the
-        # BLAS packs the small Y block, not the n x m basis: the plain V @ Y
-        # raised the peak RSS of a solve by about 1 MB (n = 1521, m = 160,
-        # k = 40, OpenBLAS on 2 threads).
-        Vt = V[:, :m_eff].T
-        U = (Ys.real.T @ Vt + 1j * (Ys.imag.T @ Vt)).T
-        lam = np.full(len(mu), complex(np.inf, 0.0))
-        finite = np.abs(mu) >= 1e-300
-        lam[finite] = 1.0 / mu[finite]
-        R = apply_B(U)
-        R *= lam
-        R -= system.A @ U
-        res = np.linalg.norm(R, axis=0) / np.linalg.norm(U, axis=0)
-        conv = (res <= tol * (maxabs_A + np.abs(lam) * maxabs_B)) & np.isfinite(lam)
+    R = B @ U
+    R *= lam
+    R -= A @ U
+    res = np.linalg.norm(R, axis=0) / np.linalg.norm(U, axis=0)
+    conv = (res <= tol * (maxabs_A + np.abs(lam) * maxabs_B)) & np.isfinite(lam)
 
-        # Deterministic output order: modulus, then real part, then +Im first.
-        out = np.lexsort((-lam.imag, lam.real, np.abs(lam)))
-        lam, U, res, conv = lam[out], U[:, out], res[out], conv[out]
+    # Deterministic output order: modulus, then real part, then +Im first.
+    out = np.lexsort((-lam.imag, lam.real, np.abs(lam)))
+    lam, U, res, conv = lam[out], U[:, out], res[out], conv[out]
 
-        vectors = []
-        for i in range(len(lam)):
-            u = _phase_align(U[:, i])
-            if abs(lam[i].imag) <= REAL_TOL * max(abs(lam[i]), 1e-300):
-                ur = np.real(u)
-                nr = float(np.linalg.norm(ur))
-                vectors.append(ur / nr if nr > 0 else ur)
-            else:
-                basis = np.column_stack([np.real(u), np.imag(u)])
-                q, _ = np.linalg.qr(basis)
-                vectors.append(q)
+    vectors = []
+    for i in range(len(lam)):
+        u = _phase_align(U[:, i])
+        if abs(lam[i].imag) <= REAL_TOL * max(abs(lam[i]), 1e-300):
+            ur = np.real(u)
+            nr = float(np.linalg.norm(ur))
+            vectors.append(ur / nr if nr > 0 else ur)
+        else:
+            basis = np.column_stack([np.real(u), np.imag(u)])
+            q, _ = np.linalg.qr(basis)
+            vectors.append(q)
 
-        principal = None
-        if len(lam) and abs(lam[0].imag) <= REAL_TOL * max(abs(lam[0]), 1e-300):
-            ur = vectors[0] if vectors[0].ndim == 1 else vectors[0][:, 0]
-            piv = ur[int(np.argmax(np.abs(ur)))]
-            if piv != 0.0:
-                principal = ur / piv
+    principal = None
+    if len(lam) and abs(lam[0].imag) <= REAL_TOL * max(abs(lam[0]), 1e-300):
+        ur = vectors[0] if vectors[0].ndim == 1 else vectors[0][:, 0]
+        piv = ur[int(np.argmax(np.abs(ur)))]
+        if piv != 0.0:
+            principal = ur / piv
 
-        sol = EigenSolution(
-            eigenvalues=lam, vectors=vectors, residuals=res, converged=conv,
-            principal_vector=principal, k_requested=k, k_converged=int(conv.sum()),
-            mass=mass, restarts=restart,
-        )
-        if best is None or sol.k_converged > best.k_converged:
-            best = sol
-        if sol.k_converged == k_eff:
-            return sol
-
-        # Restart from the span of the current Ritz vectors plus noise.
-        acc = U.real.sum(axis=1) + U.imag.sum(axis=1)
-        an = float(np.linalg.norm(acc))
-        noise = rng.standard_normal(n)
-        v0 = (acc / an if an > 0 else 0.0) + 0.01 * noise / float(np.linalg.norm(noise))
-
-    assert best is not None
-    return best
+    return EigenSolution(
+        eigenvalues=lam, vectors=vectors, residuals=res, converged=conv,
+        principal_vector=principal, k_requested=k, k_converged=int(conv.sum()),
+        mass=mass, krylov_dim=krylov_dim, n_solves=n_solves,
+    )
 
 
 @dataclass(frozen=True)
@@ -375,6 +315,8 @@ def convergence_study(problem: str, mesh_kind: str, J_list,
         mesh = generate_structured(mesh_kind, J)
         system = assemble(mesh, coeffs)
         sol = solve_smallest(system, k=1, mass=mass, tol=tol)
+        if not sol.converged[:1].any():
+            raise EigenSolveError(f"lambda_1 did not converge at J={J}")
         lam1 = sol.eigenvalues[0]
         if abs(lam1.imag) > REAL_TOL * abs(lam1):
             raise EigenSolveError(

@@ -54,23 +54,21 @@ def z_matrix_check(A) -> ZMatrixReport:
     zeros from cancellation are accepted).  Returns the first violating
     entry in row-major order, if any.
     """
-    M = _as_csr(A)
-    n = M.shape[0]
+    return _z_matrix(_as_csr(A))
+
+
+def _z_matrix(M: csr_matrix) -> ZMatrixReport:
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
     scale = float(np.abs(M.data).max()) if M.nnz else 0.0
     tol = ZERO_REL_TOL * scale
-    indptr, indices, data = M.indptr, M.indices, M.data
-    for i in range(n):
-        for p in range(indptr[i], indptr[i + 1]):
-            j = indices[p]
-            v = float(data[p])
-            if i == j:
-                if v < -tol:
-                    return ZMatrixReport(False, scale, (i, j, v))
-            elif v > tol:
-                return ZMatrixReport(False, scale, (i, j, v))
-    return ZMatrixReport(True, scale, None)
+    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    bad = np.flatnonzero(np.where(rows == M.indices, M.data < -tol, M.data > tol))
+    if bad.size == 0:
+        return ZMatrixReport(True, scale, None)
+    # canonical CSR stores entries in row-major order
+    p = bad[0]
+    return ZMatrixReport(False, scale, (int(rows[p]), int(M.indices[p]), float(M.data[p])))
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,10 @@ def irreducibility(A) -> IrreducibilityReport:
     tolerance; the matrix is irreducible iff the graph is one strongly
     connected component.  A 1x1 matrix is irreducible by convention.
     """
-    M = _as_csr(A)
+    return _irreducibility(_as_csr(A))
+
+
+def _irreducibility(M: csr_matrix) -> IrreducibilityReport:
     n = M.shape[0]
     if n == 1:
         return IrreducibilityReport(True, 1)
@@ -160,8 +161,8 @@ def m_matrix_certificate(A) -> MatrixCertificate:
     reducible M-matrix is still recognized as such.
     """
     M = _as_csr(A)
-    z = z_matrix_check(M)
-    irr = irreducibility(M)
+    z = _z_matrix(M)
+    irr = _irreducibility(M)
     spd, how = _sym_part_positive_definite(M)
     return MatrixCertificate(
         is_z_matrix=z.passed,

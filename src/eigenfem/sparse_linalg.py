@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.linalg
 from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.linalg import splu
@@ -148,10 +147,14 @@ def hessenberg_eigen(H: np.ndarray):
 
 
 def save_matrix_market(A, path) -> None:
+    import scipy.io  # imported here: no CLI path needs it
+
     scipy.io.mmwrite(str(path), csr_matrix(A))
 
 
 def load_matrix_market(path) -> csr_matrix:
+    import scipy.io
+
     A = csr_matrix(scipy.io.mmread(str(path)))
     A.sum_duplicates()
     A.sort_indices()

@@ -13,7 +13,9 @@ Everything here deliberately avoids the code paths under test:
   coefficient functions at one point per call, never the batched element
   table;
 * loop_write_vtk and loop_parse_node / loop_parse_ele format and parse
-  files one value at a time, never through bulk array conversions.
+  files one value at a time, never through bulk array conversions;
+* loop_z_matrix_check walks a CSR matrix entry by entry for the first
+  sign violation, never through whole-array masks.
 """
 
 from __future__ import annotations
@@ -345,3 +347,22 @@ def loop_parse_ele(text: str, base: int) -> np.ndarray:
             raise MeshError(f".ele line {r + 2}: expected {want} fields, got {len(toks)}")
         elems[r] = [int(toks[1]) - base, int(toks[2]) - base, int(toks[3]) - base]
     return elems
+
+
+def loop_z_matrix_check(A) -> tuple[bool, float, tuple | None]:
+    """(passed, scale, first violation) of the Z-matrix sign check.
+
+    A is canonical CSR (sorted indices, no duplicates); the loop visits its
+    entries in row-major order and stops at the first diagonal entry below
+    -1e-14 scale or off-diagonal entry above 1e-14 scale.
+    """
+    scale = float(np.abs(A.data).max()) if A.nnz else 0.0
+    tol = 1e-14 * scale
+    indptr, indices, data = A.indptr, A.indices, A.data
+    for i in range(A.shape[0]):
+        for p in range(indptr[i], indptr[i + 1]):
+            j = int(indices[p])
+            v = float(data[p])
+            if (v < -tol) if i == j else (v > tol):
+                return False, scale, (i, j, v)
+    return True, scale, None

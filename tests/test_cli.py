@@ -218,6 +218,19 @@ def test_cli_never_imports_scipy_spatial(tmp_path):
         assert proc.returncode == expected, (argv, proc.stdout, proc.stderr)
 
 
+def test_cli_import_leaves_out_scipy_io():
+    # Matrix Market I/O imports scipy.io on first use; it costs 13-18 ms
+    # of every run's start-up and no command needs it
+    src = os.path.dirname(os.path.dirname(eigenfem.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    script = ("import sys\n"
+              "import eigenfem.cli\n"
+              "sys.exit(1 if 'scipy.io' in sys.modules else 0)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, (proc.stdout, proc.stderr)
+
+
 def test_converge_bad_J_list(tmp_path):
     code = run(["converge", "--problem", "laplace", "--mesh", "mesh45",
                 "--J", "9,5", "--out", str(tmp_path)])
@@ -269,4 +282,63 @@ def test_solver_failure_exit_four(tmp_path, monkeypatch):
     monkeypatch.setattr(cli_mod, "solve_smallest", boom)
     code = run(["solve", "--problem", "laplace", "--mesh", "mesh45",
                 "--J", "5", "--out", str(tmp_path)])
+    assert code == 4
+
+
+def test_solve_partial_convergence_exit_four(tmp_path, monkeypatch, capsys):
+    # one unconverged pair out of k is a solver failure; the outputs are
+    # still written so the converged pairs can be inspected
+    import dataclasses
+
+    import eigenfem.cli as cli_mod
+
+    real_solve = cli_mod.solve_smallest
+
+    def drop_one(*a, **kw):
+        sol = real_solve(*a, **kw)
+        conv = sol.converged.copy()
+        conv[-1] = False
+        return dataclasses.replace(sol, converged=conv, k_converged=int(conv.sum()))
+
+    monkeypatch.setattr(cli_mod, "solve_smallest", drop_one)
+    code = run(["solve", "--problem", "laplace", "--mesh", "mesh45",
+                "--J", "9", "--k", "4", "--out", str(tmp_path)])
+    assert code == 4
+    assert "3 of 4" in capsys.readouterr().err
+    props = json.loads((tmp_path / "properties.json").read_text())
+    assert props["k_converged"] == 3
+    assert (tmp_path / "eigenvalues.csv").exists()
+    assert (tmp_path / "principal.vtk").exists()
+
+
+def test_solve_k199_converges_all(tmp_path):
+    # implicit restarts converge every pair at k = 199; the old restarted
+    # Arnoldi with a fixed 200-vector basis converged 121 of them
+    code = run(["solve", "--problem", "ex5_2", "--mesh", "mesh45",
+                "--J", "41", "--k", "199", "--out", str(tmp_path)])
+    assert code == 0
+    props = json.loads((tmp_path / "properties.json").read_text())
+    assert props["k_requested"] == 199
+    assert props["k_converged"] == 199
+    assert props["krylov_dim"] > 199
+    assert props["n_solves"] > 0
+
+
+def test_converge_unconverged_lambda1_exit_four(tmp_path, monkeypatch):
+    # a refinement level whose lambda_1 failed the residual test is a
+    # solver failure, not a data point of the study
+    import dataclasses
+
+    import eigenfem.eigensolver as solver_mod
+
+    real_solve = solver_mod.solve_smallest
+
+    def unconverged(*a, **kw):
+        sol = real_solve(*a, **kw)
+        return dataclasses.replace(sol, converged=np.zeros_like(sol.converged),
+                                   k_converged=0)
+
+    monkeypatch.setattr(solver_mod, "solve_smallest", unconverged)
+    code = run(["converge", "--problem", "laplace", "--mesh", "mesh45",
+                "--J", "5,9,17", "--out", str(tmp_path)])
     assert code == 4

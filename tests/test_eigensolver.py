@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import eigenfem.eigensolver
 from eigenfem import (EigenSolveError, SimplicialMesh, assemble, catalog,
                       convergence_study, generate_structured,
                       m_matrix_certificate, property_suite, solve_smallest)
@@ -204,16 +206,17 @@ def test_convergence_study_validates_input():
 
 
 def test_krylov_dimension_validated_up_front():
-    _, s = system_for("laplace", "mesh45", 21)   # n = 361 > 200
+    _, s = system_for("laplace", "mesh45", 21)   # n = 361
     with pytest.raises(ValueError):
-        solve_smallest(s, k=2, max_krylov=201)
-    with pytest.raises(ValueError):
-        solve_smallest(s, k=200)                 # clamped dimension 200 <= k
-    with pytest.raises(ValueError):
-        solve_smallest(s, k=400)                 # k beyond n, dimension 200 < n
-    with pytest.raises(ValueError):
-        solve_smallest(s, k=10, max_krylov=10)
-    # on a small pencil the whole space is the Krylov space
+        solve_smallest(s, k=0)
+    for k, m in ((10, 10), (10, 11), (2, 3)):    # ARPACK needs k + 1 < ncv
+        with pytest.raises(ValueError):
+            solve_smallest(s, k=k, max_krylov=m)
+    # implicit restarts lift the old cap of 200 on the Krylov dimension
+    sol = solve_smallest(s, k=200)
+    assert len(sol.eigenvalues) == 200
+    assert sol.k_converged == 200
+    # on a small pencil (k >= n - 1) dense QZ gives every pair
     _, small = system_for("laplace", "mesh45", 5)  # n = 9
     sol = solve_smallest(small, k=9)
     assert sol.k_converged == 9
@@ -258,3 +261,20 @@ def test_stored_residuals_match_returned_vectors(mass):
         else:
             best = np.linalg.svd(s.A @ v - lam * (B @ v), compute_uv=False)[-1]
             assert best <= r + 1e-12 * scale, (lam, r, best)
+
+
+def test_arpack_no_convergence_returns_partial_pairs(monkeypatch):
+    # when ARPACK gives up, the pairs it has are kept and flagged by the
+    # residual test instead of being lost to the exception
+    real_eigs = eigenfem.eigensolver.eigs
+
+    def give_up(*args, **kwargs):
+        lam, U = real_eigs(*args, **kwargs)
+        raise ArpackNoConvergence("synthetic", lam[:2], U[:, :2])
+
+    monkeypatch.setattr(eigenfem.eigensolver, "eigs", give_up)
+    _, s = system_for("laplace", "mesh45", 21)
+    sol = solve_smallest(s, k=6)
+    assert sol.k_requested == 6
+    assert len(sol.eigenvalues) == 2 and sol.k_converged == 2
+    assert sol.n_solves > 0

@@ -10,6 +10,8 @@ from eigenfem import (SingularMatrixError, assemble, catalog,
                       m_matrix_certificate, perron_oracle, solve_smallest,
                       z_matrix_check)
 
+from oracles import loop_z_matrix_check
+
 
 def laplace_system(J, kind="mesh45"):
     m = generate_structured(kind, J)
@@ -49,6 +51,23 @@ def test_z_check_does_not_mutate_input():
     irreducibility(s.A)
     m_matrix_certificate(s.A)
     assert np.array_equal(s.A.toarray(), before)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_z_check_matches_loop_oracle(seed):
+    # flip the signs of a few seeded entries, and on odd seeds of one
+    # diagonal entry; compare verdict, scale and the first violation in
+    # row-major order with the entry-by-entry loop
+    rng = np.random.default_rng(seed)
+    A = laplace_system(int(rng.integers(5, 12)), ("mesh45", "mesh135")[seed % 2]).A.copy()
+    A.data[rng.choice(A.nnz, size=int(rng.integers(0, 4)), replace=False)] *= -1.0
+    if seed % 2:
+        diag = A.diagonal()
+        diag[int(rng.integers(A.shape[0]))] *= -1.0
+        A.setdiag(diag)
+    rep = z_matrix_check(A)
+    assert (rep.passed, rep.scale, rep.violation) == loop_z_matrix_check(A)
+    assert seed % 2 == 0 or not rep.passed
 
 
 def test_irreducibility_stencil():
