@@ -30,8 +30,8 @@ from .mesh import (InteriorConnectivity, SimplicialMesh, edge_patches,
                    export_triangle, generate_structured, import_mesh,
                    interior_connectivity, load_triangle, mesh_from_json,
                    mesh_spacing, mesh_to_json)
-from .mesh_conditions import (ConditionReport, DelaunayReport, EdgeBound,
-                              MUniformity, NonobtuseReport,
+from .mesh_conditions import (ConditionReport, DelaunayReport,
+                              EntryBoundReport, MUniformity, NonobtuseReport,
                               check_delaunay_type, check_nonobtuse,
                               entry_bound_report, evaluate_conditions,
                               m_uniformity)
@@ -60,7 +60,7 @@ __all__ = [
     "export_triangle", "generate_structured", "import_mesh",
     "interior_connectivity", "load_triangle", "mesh_from_json",
     "mesh_spacing", "mesh_to_json",
-    "ConditionReport", "DelaunayReport", "EdgeBound", "MUniformity",
+    "ConditionReport", "DelaunayReport", "EntryBoundReport", "MUniformity",
     "NonobtuseReport", "check_delaunay_type", "check_nonobtuse",
     "entry_bound_report", "evaluate_conditions", "m_uniformity",
     "LUFactors", "build_csr", "hessenberg_eigen", "load_matrix_market",

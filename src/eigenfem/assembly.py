@@ -92,8 +92,7 @@ def assemble(mesh: SimplicialMesh, coeffs: ProblemCoefficients, *,
     )
 
 
-def rayleigh(system: AssembledSystem, coeffs: ProblemCoefficients,
-             mesh: SimplicialMesh, v: np.ndarray) -> float:
+def rayleigh(system: AssembledSystem, v: np.ndarray) -> float:
     """Rayleigh functional F(v) of a real interior vector.
 
     F(v) = (v' A_D v + int (c - 0.5 div b) (v^h)^2) / (v' B v), where A_D

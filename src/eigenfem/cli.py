@@ -36,7 +36,7 @@ from .errors import (CoefficientError, EigenSolveError, MeshError,
 from .eigensolver import convergence_study, property_suite, solve_smallest
 from .matrix_analysis import m_matrix_certificate
 from .mesh import SimplicialMesh, generate_structured, load_triangle
-from .mesh_conditions import evaluate_conditions
+from .mesh_conditions import DOMINATED, evaluate_conditions
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -101,7 +101,7 @@ def _write_json(path: str, config: RunConfig, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: str, config: RunConfig, header: list, rows: list) -> None:
+def _write_csv(path: str, config: RunConfig, header: list, rows) -> None:
     lines = ["# config: " + json.dumps(_json_ready(config.to_dict()), sort_keys=True)]
     lines.append(",".join(header))
     lines.extend(",".join(map(str, row)) for row in rows)
@@ -161,23 +161,29 @@ def _load_mesh(args) -> SimplicialMesh:
     raise MeshError(f"unknown mesh kind {args.mesh!r}")
 
 
-def _edge_rows(report) -> list:
-    rows = []
-    for e in report.per_edge:
-        rows.append([e.edge[0], e.edge[1], e.elements[0], e.elements[1],
-                     _float_repr(e.lhs), _float_repr(e.theta),
-                     _float_repr(e.lhs_theta_free),
-                     int(e.pass_weak), int(e.pass_strict)])
-    return rows
+def _reprs(x: np.ndarray) -> list:
+    return list(map(repr, x.tolist()))
 
 
-def _element_rows(report) -> list:
-    rows = []
-    for r in report.per_element:
-        rows.append([r.element, _float_repr(r.alpha_max),
-                     _float_repr(r.rhs_bound) if r.rhs_bound is not None else "",
-                     int(r.pass_weak), int(r.pass_strict), r.reason])
-    return rows
+def _bits(x: np.ndarray) -> list:
+    return x.astype(int).tolist()
+
+
+def _edge_columns(report) -> list:
+    d = report.delaunay
+    if d is None:
+        return []
+    return [*d.edges.T.tolist(), *d.elements.T.tolist(), _reprs(d.lhs), _reprs(d.theta),
+            _reprs(d.lhs_theta_free), _bits(d.pass_weak), _bits(d.pass_strict)]
+
+
+def _element_columns(report) -> list:
+    nob = report.nonobtuse
+    dominated = np.isnan(nob.rhs_bound)
+    return [range(len(dominated)), _reprs(nob.alpha_max),
+            np.where(dominated, "", _reprs(nob.rhs_bound)).tolist(),
+            _bits(nob.pass_weak), _bits(nob.pass_strict),
+            np.where(dominated, DOMINATED, "").tolist()]
 
 
 def cmd_analyze(args) -> int:
@@ -219,11 +225,11 @@ def cmd_analyze(args) -> int:
     _write_csv(os.path.join(args.out, "per_edge.csv"), config,
                ["vertex_j", "vertex_k", "element_K", "element_Kp", "lhs",
                 "theta", "lhs_theta_free", "pass_weak", "pass_strict"],
-               _edge_rows(report))
+               zip(*_edge_columns(report)))
     _write_csv(os.path.join(args.out, "per_element.csv"), config,
                ["element", "alpha_max", "rhs_bound", "pass_weak",
                 "pass_strict", "reason"],
-               _element_rows(report))
+               zip(*_element_columns(report)))
 
     print(f"mesh {mesh.label}: alpha_max = {report.alpha_max_metric:.6f} rad, "
           f"alpha_sum = {report.alpha_sum_metric if report.alpha_sum_metric is not None else 'n/a'}")
@@ -255,7 +261,7 @@ def cmd_solve(args) -> int:
     if sol.k_converged == 0:
         print("solver failure: no eigenpair converged", file=sys.stderr)
         return EXIT_SOLVER
-    props = property_suite(sol, system, mesh, coeffs, cert)
+    props = property_suite(sol, system, coeffs, cert)
 
     os.makedirs(args.out, exist_ok=True)
     rows = []

@@ -24,7 +24,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 from .assembly import AssembledSystem, assemble, rayleigh
 from .coefficients import ProblemCoefficients, catalog, REFERENCE_VALUES
 from .errors import EigenSolveError
-from .mesh import SimplicialMesh, generate_structured, mesh_spacing
+from .mesh import generate_structured, mesh_spacing
 from .sparse_linalg import lu_factor, solve
 
 DEFAULT_SEED = 1234
@@ -193,9 +193,8 @@ class PropertyReport:
 
 
 def property_suite(solution: EigenSolution, system: AssembledSystem,
-                   mesh: SimplicialMesh, coeffs: ProblemCoefficients,
-                   certificate=None, n_trials: int = 200,
-                   seed: int = 20240817) -> PropertyReport:
+                   coeffs: ProblemCoefficients, certificate=None,
+                   n_trials: int = 200, seed: int = 20240817) -> PropertyReport:
     """Check the computed spectrum against the predicted structure.
 
     With an irreducible M-matrix stiffness and positive mass, the smallest
@@ -237,14 +236,14 @@ def property_suite(solution: EigenSolution, system: AssembledSystem,
     rayleigh_id = None
     if principal_real and l1.real > 0:
         if solution.principal_vector is not None:
-            F1 = rayleigh(system, coeffs, mesh, solution.principal_vector)
+            F1 = rayleigh(system, solution.principal_vector)
             rayleigh_id = bool(abs(F1 - l1.real) <= RAYLEIGH_ID_TOL * l1.real)
         if coeffs.is_symmetric:
             rng = np.random.default_rng(seed)
             ok = True
             for _ in range(n_trials):
                 v = rng.standard_normal(system.n)
-                if rayleigh(system, coeffs, mesh, v) < l1.real - VARIATIONAL_TOL:
+                if rayleigh(system, v) < l1.real - VARIATIONAL_TOL:
                     ok = False
                     break
             variational = ok

@@ -4,7 +4,8 @@ Two conditions are evaluated per problem and mesh:
 
 * nonobtuse: for every element, the largest dihedral angle in the D^{-1}
   metric must stay below arccos(h_K b_sup / (lam_min (d+1))
-  + h_K^2 c_sup / (lam_min (d+1)(d+2))); weak means <=, strict means <.
+  + h_K^2 c_sup / (lam_min (d+1)(d+2))); weak means <=, strict means <,
+  both graded within TIE_TOL so that a rounding tie passes weak only.
   A strict pass on an interiorly connected mesh certifies an irreducible
   M-matrix.
 
@@ -33,6 +34,10 @@ from .mesh import MeshEdges, SimplicialMesh, interior_connectivity, mesh_edges
 # Slack used when comparing assembled entries against their analytic bounds.
 BOUND_SLACK = 1e-10
 DOMINATED = "convection/reaction dominates at this h"
+# Angles and angle sums within TIE_TOL (radians) of their bound are ties,
+# graded weak only: rounded grid coordinates put a right angle a few ulp
+# on either side of pi/2.
+TIE_TOL = 64 * np.finfo(float).eps * math.pi
 
 
 def _arccot(x: np.ndarray) -> np.ndarray:
@@ -51,33 +56,17 @@ def _cot_from_cos(c: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ElementCondition:
-    """Nonobtuse-condition record for one element."""
-
-    element: int
-    alpha_max: float
-    rhs_bound: float | None
-    pass_weak: bool
-    pass_strict: bool
-    reason: str = ""
-
-
-@dataclass(frozen=True)
-class EdgeCondition:
-    """Delaunay-type record for one internal edge."""
-
-    edge: tuple[int, int]
-    elements: tuple[int, int]
-    lhs: float
-    theta: float
-    lhs_theta_free: float
-    pass_weak: bool
-    pass_strict: bool
-
-
-@dataclass(frozen=True)
 class NonobtuseReport:
-    per_element: list
+    """Nonobtuse condition, one array entry per element.
+
+    rhs_bound is NaN where convection/reaction dominates (the arccos
+    argument exceeds 1); such elements pass neither test.
+    """
+
+    alpha_max: np.ndarray
+    rhs_bound: np.ndarray
+    pass_weak: np.ndarray
+    pass_strict: np.ndarray
     alpha_max_metric: float
     passed_weak: bool
     passed_strict: bool
@@ -85,7 +74,16 @@ class NonobtuseReport:
 
 @dataclass(frozen=True)
 class DelaunayReport:
-    per_edge: list
+    """Delaunay-type condition, one array entry per internal edge: its
+    vertices (E, 2) and its element pair K < K' (E, 2)."""
+
+    edges: np.ndarray
+    elements: np.ndarray
+    lhs: np.ndarray
+    theta: np.ndarray
+    lhs_theta_free: np.ndarray
+    pass_weak: np.ndarray
+    pass_strict: np.ndarray
     alpha_sum_metric: float
     passed_weak: bool
     passed_strict: bool
@@ -93,10 +91,11 @@ class DelaunayReport:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Combined verdicts of both mesh conditions plus connectivity."""
+    """Combined verdicts of both mesh conditions plus connectivity; the
+    Delaunay-type report is None in 3D."""
 
-    per_element: list
-    per_edge: list
+    nonobtuse: NonobtuseReport
+    delaunay: DelaunayReport | None
     alpha_max_metric: float
     alpha_sum_metric: float | None
     nonobtuse_weak: bool
@@ -116,21 +115,22 @@ class ConditionReport:
         return self.nonobtuse_weak or bool(self.delaunay_weak)
 
 
+def _grade(x: np.ndarray, bound) -> tuple[np.ndarray, np.ndarray]:
+    """Weak (x <= bound) and strict (x < bound) verdicts, both within
+    TIE_TOL, so a value that rounding leaves next to its bound passes weak
+    and never strict.  A NaN bound fails both."""
+    return x <= bound + TIE_TOL, x < bound - TIE_TOL
+
+
 def _nonobtuse(mesh: SimplicialMesh, t: ElementTable) -> NonobtuseReport:
     d = mesh.dim
     alpha = angle_from_cos(min_cosine(t.cosines))
     h = t.geom.diameter
     arg = (h * t.b_sup / (t.lambda_min_DK * (d + 1))
            + h * h * t.c_sup / (t.lambda_min_DK * (d + 1) * (d + 2)))
-    dominated = arg > 1.0
-    bound = np.arccos(np.where(dominated, 1.0, arg))
-    weak = ~dominated & (alpha <= bound)
-    strict = ~dominated & (alpha < bound)
-    per_element = list(map(
-        ElementCondition, range(len(alpha)), alpha.tolist(),
-        np.where(dominated, None, bound).tolist(), weak.tolist(), strict.tolist(),
-        np.where(dominated, DOMINATED, "").tolist()))
-    return NonobtuseReport(per_element, float(alpha.max(initial=0.0)),
+    bound = np.where(arg > 1.0, np.nan, np.arccos(np.minimum(arg, 1.0)))
+    weak, strict = _grade(alpha, bound)
+    return NonobtuseReport(alpha, bound, weak, strict, float(alpha.max(initial=0.0)),
                            bool(weak.all()), bool(strict.all()))
 
 
@@ -186,12 +186,9 @@ def _delaunay(mesh: SimplicialMesh, t: ElementTable, edges: MeshEdges) -> Delaun
     theta = _theta(t.b_sup[K], t.c_sup[K], h[K], h[Kp], d)
     lhs = _delaunay_lhs(aK, cotK, detK, aKp, cotKp, detKp, theta)
     lhs_free = _delaunay_lhs(aK, cotK, detK, aKp, cotKp, detKp, 0.0)
-    weak, strict = lhs <= math.pi, lhs < math.pi
-    per_edge = list(map(
-        EdgeCondition, map(tuple, edges.vertices[internal].tolist()),
-        zip(K.tolist(), Kp.tolist()), lhs.tolist(), theta.tolist(),
-        lhs_free.tolist(), weak.tolist(), strict.tolist()))
-    return DelaunayReport(per_edge, float(lhs_free.max(initial=0.0)),
+    weak, strict = _grade(lhs, math.pi)
+    return DelaunayReport(edges.vertices[internal], np.column_stack([K, Kp]), lhs, theta,
+                          lhs_free, weak, strict, float(lhs_free.max(initial=0.0)),
                           bool(weak.all()), bool(strict.all()))
 
 
@@ -206,28 +203,17 @@ def evaluate_conditions(mesh: SimplicialMesh, coeffs: ProblemCoefficients, *,
     element_table(mesh, coeffs) unless a table is passed."""
     t = element_table(mesh, coeffs) if table is None else table
     nob = _nonobtuse(mesh, t)
-    if mesh.dim == 2:
-        del_rep = _delaunay(mesh, t, mesh_edges(mesh))
-        per_edge = del_rep.per_edge
-        alpha_sum = del_rep.alpha_sum_metric
-        dweak: bool | None = del_rep.passed_weak
-        dstrict: bool | None = del_rep.passed_strict
-    else:
-        per_edge = []
-        alpha_sum = None
-        dweak = None
-        dstrict = None
-    conn = interior_connectivity(mesh)
+    dela = _delaunay(mesh, t, mesh_edges(mesh)) if mesh.dim == 2 else None
     return ConditionReport(
-        per_element=nob.per_element,
-        per_edge=per_edge,
+        nonobtuse=nob,
+        delaunay=dela,
         alpha_max_metric=nob.alpha_max_metric,
-        alpha_sum_metric=alpha_sum,
+        alpha_sum_metric=dela and dela.alpha_sum_metric,
         nonobtuse_weak=nob.passed_weak,
         nonobtuse_strict=nob.passed_strict,
-        delaunay_weak=dweak,
-        delaunay_strict=dstrict,
-        interiorly_connected=conn.connected,
+        delaunay_weak=dela and dela.passed_weak,
+        delaunay_strict=dela and dela.passed_strict,
+        interiorly_connected=interior_connectivity(mesh).connected,
     )
 
 
@@ -236,19 +222,20 @@ def evaluate_conditions(mesh: SimplicialMesh, coeffs: ProblemCoefficients, *,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class EdgeBound:
-    """Assembled entries and analytic bounds for one interior-interior edge."""
+class EntryBoundReport:
+    """Assembled entries and analytic bounds, one array entry per edge with
+    two interior endpoints (E, 2); bound_2d is NaN in 3D."""
 
-    edge: tuple[int, int]
-    a_jk: float
-    a_kj: float
-    bound_general: float
-    bound_2d: float | None
-    violated: bool
+    edges: np.ndarray
+    a_jk: np.ndarray
+    a_kj: np.ndarray
+    bound_general: np.ndarray
+    bound_2d: np.ndarray
+    violated: np.ndarray
 
 
 def entry_bound_report(mesh: SimplicialMesh, coeffs: ProblemCoefficients,
-                       system) -> list[EdgeBound]:
+                       system) -> EntryBoundReport:
     """Check assembled off-diagonal entries against their analytic bounds.
 
     For each mesh edge whose endpoints are both interior vertices, the
@@ -294,12 +281,7 @@ def entry_bound_report(mesh: SimplicialMesh, coeffs: ProblemCoefficients,
     gen, b2 = bound_gen[inner], bound_2d[inner]
     violated = a_max > gen + BOUND_SLACK * np.maximum(1.0, np.abs(gen))
     violated |= a_max > b2 + BOUND_SLACK * np.maximum(1.0, np.abs(b2))
-    return [
-        EdgeBound(tuple(e), *vals, None if math.isnan(b) else b, v)
-        for e, *vals, b, v in zip(edges.vertices[inner].tolist(), a_jk.tolist(),
-                                   a_kj.tolist(), gen.tolist(), b2.tolist(),
-                                   violated.tolist())
-    ]
+    return EntryBoundReport(edges.vertices[inner], a_jk, a_kj, gen, b2, violated)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 import eigenfem
-from eigenfem import export_triangle, generate_structured
+from eigenfem import (catalog, evaluate_conditions, export_triangle,
+                      generate_structured, load_triangle)
 from eigenfem.cli import main, write_vtk
+from eigenfem.mesh_conditions import DOMINATED
 
 from oracles import loop_write_vtk
-from test_element_table import kuhn_cube
+from test_element_table import jittered_triangle_mesh, kuhn_cube
 
 
 def run(argv):
@@ -32,11 +34,76 @@ def test_analyze_certified_exit_zero(tmp_path):
     assert (tmp_path / "per_element.csv").exists()
 
 
-def test_analyze_weak_exit_two(tmp_path):
-    # right triangles with D = I sit exactly on the bound: weak pass only
+@pytest.mark.parametrize("J", [5, 21, 41])
+def test_analyze_weak_exit_two(tmp_path, J):
+    # right triangles with D = I sit exactly on the bound: weak pass only;
+    # at J = 21, 41 the grid coordinates round and the computed angles land
+    # a few ulp on either side of pi/2, which still grades as a tie
     code = run(["analyze", "--problem", "laplace", "--mesh", "mesh45",
-                "--J", "5", "--out", str(tmp_path)])
+                "--J", str(J), "--out", str(tmp_path)])
     assert code == 2
+
+
+def _read_csv(path):
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# config: ")
+    return lines[1].split(","), [line.split(",") for line in lines[2:]]
+
+
+def _floats(column):
+    return np.array([float(x) for x in column])
+
+
+@pytest.mark.parametrize("problem, kind, J, dominated", [
+    ("ex5_5k10", "jittered", 17, "none"), ("ex5_2", "jittered", 33, "some"),
+    ("ex5_2", "mesh45", 5, "all"), ("laplace", "mesh45", 21, "none")])
+def test_analyze_csv_round_trip(tmp_path, problem, kind, J, dominated):
+    # every value of per_element.csv / per_edge.csv parses back bit-exactly
+    # to the condition report of the same mesh and problem
+    if kind == "mesh45":
+        mesh = generate_structured(kind, J)
+        argv = ["--mesh", kind, "--J", str(J)]
+    else:
+        node, ele = tmp_path / "m.node", tmp_path / "m.ele"
+        for path, text in zip((node, ele), export_triangle(jittered_triangle_mesh(7, J))):
+            path.write_text(text)
+        mesh = load_triangle(str(node), str(ele))
+        argv = ["--mesh", "import", "--node", str(node), "--ele", str(ele)]
+    out = tmp_path / "out"
+    assert run(["analyze", "--problem", problem, *argv, "--out", str(out)]) in (0, 2, 3)
+    rep = evaluate_conditions(mesh, catalog(problem))
+
+    nob = rep.nonobtuse
+    header, rows = _read_csv(out / "per_element.csv")
+    assert header == ["element", "alpha_max", "rhs_bound", "pass_weak", "pass_strict", "reason"]
+    assert len(rows) == mesh.n_elements and all(len(r) == 6 for r in rows)
+    element, alpha, rhs, weak, strict, reason = zip(*rows)
+    assert element == tuple(map(str, range(mesh.n_elements)))
+    assert _floats(alpha).tobytes() == nob.alpha_max.tobytes()
+    nan = np.isnan(nob.rhs_bound)
+    assert (nan.any(), nan.all()) == {"none": (False, False), "some": (True, False),
+                                      "all": (True, True)}[dominated]
+    assert np.array_equal(np.array(rhs) == "", nan)
+    assert np.array_equal(np.array(reason), np.where(nan, DOMINATED, ""))
+    kept = [x for x in rhs if x]
+    assert _floats(kept).tobytes() == nob.rhs_bound[~nan].tobytes()
+    for column, bits in ((weak, nob.pass_weak), (strict, nob.pass_strict)):
+        assert set(column) <= {"0", "1"}
+        assert np.array_equal(np.array(column) == "1", bits)
+
+    dela = rep.delaunay
+    header, rows = _read_csv(out / "per_edge.csv")
+    assert header == ["vertex_j", "vertex_k", "element_K", "element_Kp", "lhs",
+                      "theta", "lhs_theta_free", "pass_weak", "pass_strict"]
+    assert len(rows) == len(dela.lhs) > 0 and all(len(r) == 9 for r in rows)
+    cols = list(zip(*rows))
+    ints = np.array(cols[:4], dtype=np.int64).T
+    assert np.array_equal(ints, np.hstack([dela.edges, dela.elements]))
+    for column, values in zip(cols[4:7], (dela.lhs, dela.theta, dela.lhs_theta_free)):
+        assert _floats(column).tobytes() == values.tobytes()
+    for column, bits in zip(cols[7:], (dela.pass_weak, dela.pass_strict)):
+        assert set(column) <= {"0", "1"}
+        assert np.array_equal(np.array(column) == "1", bits)
 
 
 def test_analyze_fail_exit_three(tmp_path):

@@ -105,7 +105,7 @@ def test_principal_sign_preserving_certified_case():
     cert = m_matrix_certificate(s.A)
     assert cert.certified_irreducible_m_matrix
     sol = solve_smallest(s, k=6)
-    props = property_suite(sol, s, m, catalog("ex5_1"), cert)
+    props = property_suite(sol, s, catalog("ex5_1"), cert)
     assert props.principal_real and props.principal_simple
     assert props.sign_preserving
     assert props.undershoot == 0.0
@@ -123,7 +123,7 @@ def test_sign_violation_detected_on_bad_mesh():
     cert = m_matrix_certificate(s.A)
     assert not cert.certified_irreducible_m_matrix
     sol = solve_smallest(s, k=4)
-    props = property_suite(sol, s, m, catalog("ex5_1"), cert)
+    props = property_suite(sol, s, catalog("ex5_1"), cert)
     assert not props.certificate_predicts
     if props.principal_real:
         assert props.undershoot is not None
@@ -180,7 +180,7 @@ def test_no_interior_vertices_raises():
 def test_property_gap_undefined_with_one_pair():
     m, s = system_for("laplace", "mesh45", 9)
     sol = solve_smallest(s, k=1)
-    props = property_suite(sol, s, m, catalog("laplace"), None)
+    props = property_suite(sol, s, catalog("laplace"), None)
     assert props.principal_simple is None
     assert props.modulus_gap is None
     assert props.principal_real

@@ -60,15 +60,15 @@ def _check_matrices(mesh, coeffs):
     assert np.abs(system.B.toarray() - B_ref).max() <= 1e-13 * np.abs(B_ref).max()
 
 
-def _check_elements(per_element, mesh, coeffs):
+def _check_elements(rep, mesh, coeffs):
     ref = loop_nonobtuse(mesh, coeffs)
-    assert len(per_element) == len(ref)
-    for rec, (alpha, bound, weak, strict) in zip(per_element, ref):
-        assert _close(rec.alpha_max, alpha)
-        assert (rec.rhs_bound is None) == (bound is None)
+    assert len(rep.alpha_max) == len(ref)
+    for i, (alpha, bound, weak, strict) in enumerate(ref):
+        assert _close(rep.alpha_max[i], alpha)
+        assert np.isnan(rep.rhs_bound[i]) == (bound is None)
         if bound is not None:
-            assert _close(rec.rhs_bound, bound)
-        assert (rec.pass_weak, rec.pass_strict) == (weak, strict)
+            assert _close(rep.rhs_bound[i], bound)
+        assert (rep.pass_weak[i], rep.pass_strict[i]) == (weak, strict)
 
 
 @pytest.mark.parametrize("case", ["jittered", "mesh135"])
@@ -81,14 +81,14 @@ def test_table_matches_loop_oracle(case):
         coeffs = catalog(name)
         _check_matrices(mesh, coeffs)
         rep = evaluate_conditions(mesh, coeffs)
-        _check_elements(rep.per_element, mesh, coeffs)
-        ref = loop_delaunay(mesh, coeffs)
-        assert len(rep.per_edge) == len(ref)
-        for rec, (edge, elems, lhs, theta, free, weak, strict) in zip(rep.per_edge, ref):
-            assert (rec.edge, rec.elements) == (edge, elems)
-            assert _close(rec.lhs, lhs) and _close(rec.theta, theta)
-            assert _close(rec.lhs_theta_free, free)
-            assert (rec.pass_weak, rec.pass_strict) == (weak, strict)
+        _check_elements(rep.nonobtuse, mesh, coeffs)
+        ref, d = loop_delaunay(mesh, coeffs), rep.delaunay
+        assert len(d.lhs) == len(ref)
+        for i, (edge, elems, lhs, theta, free, weak, strict) in enumerate(ref):
+            assert (tuple(d.edges[i].tolist()), tuple(d.elements[i].tolist())) == (edge, elems)
+            assert _close(d.lhs[i], lhs) and _close(d.theta[i], theta)
+            assert _close(d.lhs_theta_free[i], free)
+            assert (d.pass_weak[i], d.pass_strict[i]) == (weak, strict)
 
 
 def test_table_matches_loop_oracle_3d():
@@ -97,7 +97,7 @@ def test_table_matches_loop_oracle_3d():
         '{"diffusion": [[3.0, 1.0, 0.5], [1.0, 2.0, 0.2], [0.5, 0.2, 1.5]], '
         '"convection": [1.0, -2.0, 0.5], "reaction": 0.7}')
     _check_matrices(mesh, coeffs)
-    _check_elements(check_nonobtuse(mesh, coeffs).per_element, mesh, coeffs)
+    _check_elements(check_nonobtuse(mesh, coeffs), mesh, coeffs)
 
 
 def test_table_shapes():
