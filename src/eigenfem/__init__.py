@@ -35,9 +35,9 @@ from .mesh_conditions import (ConditionReport, DelaunayReport,
                               check_delaunay_type, check_nonobtuse,
                               entry_bound_report, evaluate_conditions,
                               m_uniformity)
-from .sparse_linalg import (LUFactors, build_csr, hessenberg_eigen,
-                            load_matrix_market, lu_factor,
-                            save_matrix_market, solve, validate_csr)
+from .sparse_linalg import (LUFactors, build_csr, load_matrix_market,
+                            lu_factor, save_matrix_market, solve,
+                            validate_csr)
 
 __version__ = "0.1.0"
 
@@ -63,7 +63,7 @@ __all__ = [
     "ConditionReport", "DelaunayReport", "EntryBoundReport", "MUniformity",
     "NonobtuseReport", "check_delaunay_type", "check_nonobtuse",
     "entry_bound_report", "evaluate_conditions", "m_uniformity",
-    "LUFactors", "build_csr", "hessenberg_eigen", "load_matrix_market",
-    "lu_factor", "save_matrix_market", "solve", "validate_csr",
+    "LUFactors", "build_csr", "load_matrix_market", "lu_factor",
+    "save_matrix_market", "solve", "validate_csr",
     "__version__",
 ]

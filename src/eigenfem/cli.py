@@ -24,6 +24,7 @@ import dataclasses
 import json
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,9 +103,10 @@ def _write_json(path: str, config: RunConfig, payload: dict) -> None:
 
 
 def _write_csv(path: str, config: RunConfig, header: list, rows) -> None:
+    """Write rows of already formatted strings under a config comment and header."""
     lines = ["# config: " + json.dumps(_json_ready(config.to_dict()), sort_keys=True)]
     lines.append(",".join(header))
-    lines.extend(",".join(map(str, row)) for row in rows)
+    lines.extend(map(",".join, rows))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -165,22 +167,29 @@ def _reprs(x: np.ndarray) -> list:
     return list(map(repr, x.tolist()))
 
 
+def _ints(x: np.ndarray) -> Iterator[str]:
+    # an iterator, not a list: the row join reads it once, and a list of
+    # strings would hold more memory than the ints it formats
+    return map(str, x.tolist())
+
+
 def _bits(x: np.ndarray) -> list:
-    return x.astype(int).tolist()
+    return np.where(x, "1", "0").tolist()
 
 
 def _edge_columns(report) -> list:
     d = report.delaunay
     if d is None:
         return []
-    return [*d.edges.T.tolist(), *d.elements.T.tolist(), _reprs(d.lhs), _reprs(d.theta),
-            _reprs(d.lhs_theta_free), _bits(d.pass_weak), _bits(d.pass_strict)]
+    return [*map(_ints, d.edges.T), *map(_ints, d.elements.T), _reprs(d.lhs),
+            _reprs(d.theta), _reprs(d.lhs_theta_free), _bits(d.pass_weak),
+            _bits(d.pass_strict)]
 
 
 def _element_columns(report) -> list:
     nob = report.nonobtuse
     dominated = np.isnan(nob.rhs_bound)
-    return [range(len(dominated)), _reprs(nob.alpha_max),
+    return [map(str, range(len(dominated))), _reprs(nob.alpha_max),
             np.where(dominated, "", _reprs(nob.rhs_bound)).tolist(),
             _bits(nob.pass_weak), _bits(nob.pass_strict),
             np.where(dominated, DOMINATED, "").tolist()]
@@ -266,9 +275,9 @@ def cmd_solve(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for i, lam in enumerate(sol.eigenvalues):
-        rows.append([i + 1, _float_repr(lam.real), _float_repr(lam.imag),
+        rows.append([str(i + 1), _float_repr(lam.real), _float_repr(lam.imag),
                      _float_repr(abs(lam)), _float_repr(sol.residuals[i]),
-                     int(sol.converged[i])])
+                     str(int(sol.converged[i]))])
     _write_csv(os.path.join(args.out, "eigenvalues.csv"), config,
                ["index", "re", "im", "modulus", "residual", "converged"], rows)
     _write_json(os.path.join(args.out, "properties.json"), config, {
@@ -317,7 +326,7 @@ def cmd_converge(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for r in study.rows:
-        rows.append([r.J, r.n_interior, _float_repr(r.h), _float_repr(r.lambda1),
+        rows.append([str(r.J), str(r.n_interior), _float_repr(r.h), _float_repr(r.lambda1),
                      _float_repr(r.error),
                      _float_repr(r.observed_order) if r.observed_order is not None else "",
                      _float_repr(r.undershoot), _float_repr(r.elapsed)])

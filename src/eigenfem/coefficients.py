@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -37,6 +38,8 @@ class ProblemCoefficients:
     (..., d, d) SPD matrices, convection(x) (..., d) vectors, reaction(x)
     and convection_divergence(x) (...) scalars.  Results are broadcast to
     those shapes, so a callable may return a constant whatever x holds.
+    Each check and sup norm runs once on what the callable returned, before
+    it is broadcast: a constant D costs one SPD check, not one per node.
     convection_is_zero declares b == 0 identically, which is what downstream
     symmetry checks (the variational principle) key on; it is declared, not
     sampled.
@@ -55,9 +58,21 @@ class ProblemCoefficients:
         return self.convection_is_zero
 
 
-def _evaluate(fn: Callable, x: np.ndarray, shape: tuple = ()) -> np.ndarray:
-    """fn(x) broadcast to x's leading axes followed by shape."""
-    return np.broadcast_to(np.asarray(fn(x), dtype=np.float64), x.shape[:-1] + shape)
+def _evaluate(fn: Callable, x: np.ndarray, shape: tuple = ()) -> tuple[np.ndarray, np.ndarray]:
+    """fn(x) broadcast to x's leading axes followed by shape, and the same
+    result broadcast only as far as shape's trailing axes need (the array
+    to check or reduce, one value per distinct entry)."""
+    raw = np.asarray(fn(x), dtype=np.float64)
+    full = np.broadcast_to(raw, x.shape[:-1] + shape)
+    return full, np.broadcast_to(raw, np.broadcast_shapes(raw.shape, shape))
+
+
+def _diffusion(coeffs: ProblemCoefficients, x: np.ndarray) -> np.ndarray:
+    """diffusion(x) broadcast to (..., d, d), every returned matrix checked SPD."""
+    d = x.shape[-1]
+    full, raw = _evaluate(coeffs.diffusion, x, (d, d))
+    check_spd(raw)
+    return full
 
 
 @dataclass(frozen=True)
@@ -82,8 +97,9 @@ class ElementTable(ElementCoefficientStats):
     The ElementCoefficientStats fields and geom (the batch geometry) carry
     a leading axis N.  quad_points (N, q, d) and quad_weights (N, q) are the
     degree-2 rule, weights including volumes; convection_q (N, q, d),
-    reaction_q and divergence_q (N, q) are the coefficients at those nodes;
-    cosines (N, d+1, d+1) are the metric dihedral-angle cosines under D_K.
+    reaction_q and divergence_q (N, q) are the coefficients at those nodes.
+    Only the mesh conditions read the metric angles, so cosines is computed
+    on first use and kept.
     """
 
     geom: ElementGeometry
@@ -92,7 +108,11 @@ class ElementTable(ElementCoefficientStats):
     convection_q: np.ndarray
     reaction_q: np.ndarray
     divergence_q: np.ndarray
-    cosines: np.ndarray
+
+    @cached_property
+    def cosines(self) -> np.ndarray:
+        """(N, d+1, d+1) metric dihedral-angle cosines under D_K."""
+        return metric_angle_cosines(self.geom, self.D_K)
 
 
 def _sym_eig_range(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,21 +138,21 @@ def _table(coeffs: ProblemCoefficients, X: np.ndarray) -> ElementTable:
     pts, w = bary @ X, wref * geom.volume[:, None]
     nq = len(wref)  # samples below are the nodes followed by the vertices
 
-    D_K = quadrature_average(w, check_spd(_evaluate(coeffs.diffusion, pts, (d, d))))
+    D_K = quadrature_average(w, _diffusion(coeffs, pts))
     lam_min, lam_max = _sym_eig_range(D_K)
     if np.any(lam_min <= 0.0):
         raise CoefficientError("element-averaged diffusion matrix is not PD")
 
     samples = np.concatenate([pts, X], axis=-2)
-    b = _evaluate(coeffs.convection, samples, (d,))
-    c = _evaluate(coeffs.reaction, samples)
-    div_b = _evaluate(coeffs.convection_divergence, pts)
+    b, b_raw = _evaluate(coeffs.convection, samples, (d,))
+    c, c_raw = _evaluate(coeffs.reaction, samples)
+    div_b, _ = _evaluate(coeffs.convection_divergence, pts)
+    b_norm = np.broadcast_to(np.linalg.norm(b_raw, axis=-1), b.shape[:-1])
     return ElementTable(
         geom=geom, quad_points=pts, quad_weights=w,
         convection_q=b[..., :nq, :], reaction_q=c[..., :nq], divergence_q=div_b,
         D_K=D_K, lambda_min_DK=lam_min, lambda_max_DK=lam_max,
-        b_sup=np.linalg.norm(b, axis=-1).max(axis=-1), c_sup=np.abs(c).max(axis=-1),
-        cosines=metric_angle_cosines(geom, D_K),
+        b_sup=b_norm.max(axis=-1), c_sup=np.broadcast_to(np.abs(c_raw), c.shape).max(axis=-1),
     )
 
 
@@ -169,8 +189,10 @@ def check_assumptions(coeffs: ProblemCoefficients, points: np.ndarray) -> None:
     raises CoefficientError on the first violation.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    check_spd(_evaluate(coeffs.diffusion, pts, (pts.shape[-1],) * 2))
-    val = _evaluate(coeffs.reaction, pts) - 0.5 * _evaluate(coeffs.convection_divergence, pts)
+    _diffusion(coeffs, pts)
+    c, _ = _evaluate(coeffs.reaction, pts)
+    div_b, _ = _evaluate(coeffs.convection_divergence, pts)
+    val = c - 0.5 * div_b
     bad = np.flatnonzero(val < -ASSUMPTION_TOL)
     if bad.size:
         raise CoefficientError(

@@ -58,6 +58,12 @@ class ElementGeometry:
     altitudes_euclid: np.ndarray
 
 
+def simplex_diameters(X: np.ndarray) -> np.ndarray:
+    """Longest edge of each simplex with vertex arrays X ((..., d+1, d))."""
+    a, b = np.triu_indices(X.shape[-2], 1)
+    return np.linalg.norm(X[..., a, :] - X[..., b, :], axis=-1).max(axis=-1)
+
+
 def simplex_geometry(X: np.ndarray) -> ElementGeometry:
     """Geometry of a batch of positively oriented simplices with vertex
     arrays X ((..., d+1, d)), with one determinant and inverse call."""
@@ -79,8 +85,7 @@ def simplex_geometry(X: np.ndarray) -> ElementGeometry:
     norms = np.linalg.norm(grads, axis=-1)
     altitudes = 1.0 / norms
     normals = -grads / norms[..., None]
-    a, b = np.triu_indices(d + 1, 1)
-    diameter = np.linalg.norm(X[..., a, :] - X[..., b, :], axis=-1).max(axis=-1)
+    diameter = simplex_diameters(X)
 
     for arr in (V, grads, normals, altitudes):
         arr.setflags(write=False)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .element_geometry import simplex_geometry
+from .element_geometry import simplex_diameters
 from .errors import MeshError
 
 # Vertices closer than this are treated as duplicates on ingestion.
@@ -440,4 +440,4 @@ def mesh_from_json(text: str) -> SimplicialMesh:
 
 def mesh_spacing(mesh: SimplicialMesh) -> float:
     """Largest element diameter (the mesh size h)."""
-    return float(simplex_geometry(mesh.vertices[mesh.elements]).diameter.max(initial=0.0))
+    return float(simplex_diameters(mesh.vertices[mesh.elements]).max(initial=0.0))

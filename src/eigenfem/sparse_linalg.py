@@ -1,4 +1,4 @@
-"""Sparse CSR matrices, sparse LU, and a dense Hessenberg eigensolver.
+"""Sparse CSR matrices and sparse LU.
 
 Matrices are scipy CSR in canonical form (sorted column indices, no
 duplicates); build_csr is the one constructor assembly code should use,
@@ -12,15 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 
-from .errors import NumericalFailureError, SingularMatrixError
+from .errors import SingularMatrixError
 
 # A pivot this small relative to the largest pivot is treated as singular.
 PIVOT_REL_TOL = 1e-12
-HESSENBERG_MAX_DIM = 200
 
 SparseMatrix = csr_matrix
 
@@ -100,50 +98,6 @@ def solve(factors: LUFactors, b: np.ndarray) -> np.ndarray:
         return factors._handle.solve(b.real.astype(np.float64)) \
             + 1j * factors._handle.solve(b.imag.astype(np.float64))
     return factors._handle.solve(b.astype(np.float64))
-
-
-def hessenberg_eigen(H: np.ndarray):
-    """Eigenvalues and real Schur form of a dense real matrix.
-
-    Returns (eigenvalues, T, Z) with H = Z T Z^T, T quasi upper triangular.
-    Eigenvalues are read off the 1x1 and 2x2 diagonal blocks of T, so
-    complex values come out in exact conjugate pairs.  Intended for the
-    small projected matrices of the Arnoldi iteration (m <= 200).
-    """
-    H = np.asarray(H, dtype=np.float64)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError("matrix must be square")
-    m = H.shape[0]
-    if m > HESSENBERG_MAX_DIM:
-        raise ValueError(f"matrix dimension {m} exceeds {HESSENBERG_MAX_DIM}")
-    if m == 0:
-        return np.zeros(0, dtype=np.complex128), H.copy(), np.eye(0)
-    try:
-        T, Z = scipy.linalg.schur(H, output="real")
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise NumericalFailureError(f"Schur iteration failed: {exc}") from exc
-
-    eigs = np.empty(m, dtype=np.complex128)
-    i = 0
-    while i < m:
-        if i == m - 1 or T[i + 1, i] == 0.0:
-            eigs[i] = T[i, i]
-            i += 1
-            continue
-        a, b = T[i, i], T[i, i + 1]
-        c, d = T[i + 1, i], T[i + 1, i + 1]
-        mean = 0.5 * (a + d)
-        disc = 0.25 * (a - d) ** 2 + b * c
-        if disc < 0.0:
-            root = np.sqrt(-disc)
-            eigs[i] = mean + 1j * root
-            eigs[i + 1] = mean - 1j * root
-        else:
-            root = np.sqrt(disc)
-            eigs[i] = mean + root
-            eigs[i + 1] = mean - root
-        i += 2
-    return eigs, T, Z
 
 
 def save_matrix_market(A, path) -> None:

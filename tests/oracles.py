@@ -6,12 +6,18 @@ Everything here deliberately avoids the code paths under test:
   arrays, never the package's Arnoldi or sparse LU;
 * integrate_on_triangle / integrate_on_tet use brute-force subdivision
   sampling, never the package's quadrature rule;
-* hessenberg_eigs_deflation finds Hessenberg eigenvalues by shifted
-  inverse iteration with Hotelling deflation, never a Schur form;
+* hessenberg_eigs_qr finds Hessenberg eigenvalues by a hand-written
+  shifted QR iteration, never a Schur routine;
+* hessenberg_eigen reads eigenvalues off scipy's real Schur form; no
+  package code calls it, and the Schur tests check it against
+  hessenberg_eigs_qr;
 * loop_assemble, loop_nonobtuse and loop_delaunay redo assembly and the
   mesh conditions one element and one edge at a time, calling the
   coefficient functions at one point per call, never the batched element
   table;
+* broadcast_coefficient_stats broadcasts each coefficient to every node
+  before it averages or reduces, where the element table reduces what the
+  callable returned;
 * loop_write_vtk and loop_parse_node / loop_parse_ele format and parse
   files one value at a time, never through bulk array conversions;
 * loop_z_matrix_check walks a CSR matrix entry by entry for the first
@@ -27,7 +33,7 @@ import numpy as np
 import scipy.linalg
 
 from eigenfem.element_geometry import quadrature_barycentric
-from eigenfem.errors import MeshError
+from eigenfem.errors import MeshError, NumericalFailureError
 
 
 def dense_generalized_eigs(A, B, k: int | None = None) -> np.ndarray:
@@ -99,6 +105,53 @@ def hat_function(X, vertex: int):
         return bary[vertex]
 
     return phi
+
+
+HESSENBERG_MAX_DIM = 200
+
+
+def hessenberg_eigen(H: np.ndarray):
+    """Eigenvalues and real Schur form of a dense real matrix.
+
+    Returns (eigenvalues, T, Z) with H = Z T Z^T, T quasi upper triangular.
+    Eigenvalues are read off the 1x1 and 2x2 diagonal blocks of T, so
+    complex values come out in exact conjugate pairs.  Only for small
+    matrices (m <= HESSENBERG_MAX_DIM).
+    """
+    H = np.asarray(H, dtype=np.float64)
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise ValueError("matrix must be square")
+    m = H.shape[0]
+    if m > HESSENBERG_MAX_DIM:
+        raise ValueError(f"matrix dimension {m} exceeds {HESSENBERG_MAX_DIM}")
+    if m == 0:
+        return np.zeros(0, dtype=np.complex128), H.copy(), np.eye(0)
+    try:
+        T, Z = scipy.linalg.schur(H, output="real")
+    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+        raise NumericalFailureError(f"Schur iteration failed: {exc}") from exc
+
+    eigs = np.empty(m, dtype=np.complex128)
+    i = 0
+    while i < m:
+        if i == m - 1 or T[i + 1, i] == 0.0:
+            eigs[i] = T[i, i]
+            i += 1
+            continue
+        a, b = T[i, i], T[i, i + 1]
+        c, d = T[i + 1, i], T[i + 1, i + 1]
+        mean = 0.5 * (a + d)
+        disc = 0.25 * (a - d) ** 2 + b * c
+        if disc < 0.0:
+            root = np.sqrt(-disc)
+            eigs[i] = mean + 1j * root
+            eigs[i + 1] = mean - 1j * root
+        else:
+            root = np.sqrt(disc)
+            eigs[i] = mean + root
+            eigs[i + 1] = mean - root
+        i += 2
+    return eigs, T, Z
 
 
 def hessenberg_eigs_qr(H, tol: float = 1e-13,
@@ -204,6 +257,24 @@ def loop_assemble(mesh, coeffs) -> tuple[np.ndarray, np.ndarray]:
                     A[idx[a], idx[b]] += local_A[a, b]
                     B[idx[a], idx[b]] += local_B[a, b]
     return A, B
+
+
+def broadcast_coefficient_stats(coeffs, pts, w, X) -> tuple:
+    """(D_K, b_sup, c_sup) of elements with quadrature nodes pts (N, q, d),
+    weights w (N, q) and vertices X (N, d+1, d), every coefficient first
+    broadcast to all nodes and vertices and only then averaged or reduced,
+    in the node order of a per-element sum."""
+    d = X.shape[-1]
+    D = np.broadcast_to(np.asarray(coeffs.diffusion(pts), dtype=np.float64),
+                        pts.shape[:-1] + (d, d))
+    total = sum(w[..., q, None, None] * D[..., q, :, :] for q in range(w.shape[-1]))
+    samples = np.concatenate([pts, X], axis=-2)
+    b = np.broadcast_to(np.asarray(coeffs.convection(samples), dtype=np.float64),
+                        samples.shape)
+    c = np.broadcast_to(np.asarray(coeffs.reaction(samples), dtype=np.float64),
+                        samples.shape[:-1])
+    return (total / w.sum(axis=-1)[..., None, None],
+            np.linalg.norm(b, axis=-1).max(axis=-1), np.abs(c).max(axis=-1))
 
 
 def _angle(c: float) -> float:

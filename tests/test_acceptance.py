@@ -19,13 +19,13 @@ import pytest
 
 from eigenfem import (CATALOG_NAMES, assemble, catalog, coefficients_from_json,
                       convergence_study, evaluate_conditions,
-                      generate_structured, hessenberg_eigen, import_mesh,
+                      generate_structured, import_mesh,
                       export_triangle, lu_factor, m_matrix_certificate,
                       perron_oracle, property_suite, solve_smallest,
                       SimplicialMesh)
 from eigenfem.sparse_linalg import solve as lu_solve
 
-from oracles import dense_generalized_eigs_cond
+from oracles import dense_generalized_eigs_cond, hessenberg_eigen
 
 
 class _Record:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from eigenfem import (CATALOG_NAMES, REFERENCE_VALUES, CoefficientError,
-                      catalog, check_assumptions, coefficients_from_json,
-                      element_stats, generate_structured)
+                      ProblemCoefficients, catalog, check_assumptions,
+                      coefficients_from_json, element_stats, element_table,
+                      generate_structured)
 
 
 def test_catalog_names_complete():
@@ -144,3 +145,57 @@ def test_coefficients_from_json_rejects_bad():
     with pytest.raises(CoefficientError):
         coefficients_from_json('{"diffusion": [[1.0, 0.0], [0.0, 1.0]], '
                                '"convection": [0, 0], "reaction": -1.0}')
+
+
+def _with_diffusion(diffusion) -> ProblemCoefficients:
+    return ProblemCoefficients(label="D", dim=2, diffusion=diffusion,
+                               convection=lambda x: np.zeros(2), reaction=lambda x: 0.0,
+                               convection_divergence=lambda x: 0.0, convection_is_zero=True)
+
+
+@pytest.mark.parametrize("D", [[[1.0, 0.0], [0.0, -1.0]], [[1.0, 0.5], [0.4, 1.0]]],
+                         ids=["indefinite", "nonsymmetric"])
+def test_constant_non_spd_diffusion_rejected(D):
+    # the element average of the nonsymmetric D has positive eigenvalues by
+    # its upper triangle, so only the SPD check of the returned matrix catches it
+    bad = _with_diffusion(lambda x, D=np.array(D): D)
+    mesh = generate_structured("mesh45", 5)
+    with pytest.raises(CoefficientError):
+        element_table(mesh, bad)
+    with pytest.raises(CoefficientError):
+        check_assumptions(bad, mesh.vertices)
+
+
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_diffusion_indefinite_at_one_node_rejected(q):
+    # D is the identity except at one quadrature node, node q of one element
+    # (a boundary-edge midpoint that no other element shares)
+    mesh = generate_structured("mesh45", 5)
+    pts = element_table(mesh, catalog("laplace")).quad_points
+    flat = pts.reshape(-1, 2)
+    unique = [K for K in range(len(pts))
+              if np.all(flat == pts[K, q], axis=-1).sum() == 1]
+    point = pts[max(unique), q]
+
+    def diffusion(x):
+        hit = np.all(np.asarray(x) == point, axis=-1)[..., None, None]
+        return np.where(hit, np.diag([1.0, -1.0]), np.eye(2))
+
+    bad = _with_diffusion(diffusion)
+    with pytest.raises(CoefficientError):
+        element_table(mesh, bad)
+    with pytest.raises(CoefficientError):
+        check_assumptions(bad, flat)
+    check_assumptions(bad, np.delete(flat, max(unique) * 3 + q, axis=0))
+
+
+@pytest.mark.parametrize("value, error", [
+    (2.0, CoefficientError),                # a scalar: [[2, 2], [2, 2]] is singular
+    (-1.0, CoefficientError),
+    (np.eye(3), ValueError),                 # cannot broadcast to (..., 2, 2)
+    (np.ones((2, 3)), ValueError),
+    (np.broadcast_to(np.eye(2), (7, 2, 2)), ValueError),
+], ids=["scalar", "negative-scalar", "3x3", "2x3", "wrong-stack"])
+def test_malformed_diffusion_result_raises(value, error):
+    with pytest.raises(error):
+        element_table(generate_structured("mesh45", 5), _with_diffusion(lambda x: value))

@@ -1,16 +1,22 @@
 """The batched element table against the per-element loop oracle."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+import eigenfem.coefficients
 from eigenfem import (SimplicialMesh, assemble, catalog, coefficients_from_json,
-                      element_table, evaluate_conditions, export_triangle,
-                      generate_structured, import_mesh)
+                      convergence_study, element_table, evaluate_conditions,
+                      export_triangle, generate_structured, import_mesh,
+                      mesh_spacing, metric_angle_cosines, solve_smallest)
+from eigenfem.cli import main
+from eigenfem.element_geometry import simplex_geometry
 from eigenfem.mesh_conditions import check_nonobtuse
 
-from oracles import loop_assemble, loop_delaunay, loop_nonobtuse
+from oracles import (broadcast_coefficient_stats, loop_assemble, loop_delaunay,
+                     loop_nonobtuse)
 
 
 def jittered_triangle_mesh(seed: int, J: int = 17) -> SimplicialMesh:
@@ -109,3 +115,51 @@ def test_table_shapes():
     assert t.convection_q.shape == (N, 3, 2) and t.reaction_q.shape == (N, 3)
     assert t.D_K.shape == (N, 2, 2) and t.cosines.shape == (N, 3, 3)
     assert abs(t.geom.volume.sum() - 1.0) <= 1e-14
+
+
+def test_cosines_computed_on_first_use(monkeypatch, tmp_path):
+    calls = []
+
+    def counted(geom, D):
+        calls.append(len(D))
+        return metric_angle_cosines(geom, D)
+
+    monkeypatch.setattr(eigenfem.coefficients, "metric_angle_cosines", counted)
+    mesh = generate_structured("mesh45", 9)
+    solve_smallest(assemble(mesh, catalog("ex5_3")), k=2)
+    convergence_study("laplace", "mesh45", [5, 9, 17])
+    assert main(["solve", "--problem", "ex5_2", "--mesh", "mesh45", "--J", "9",
+                 "--k", "3", "--out", str(tmp_path / "solve")]) == 0
+    assert calls == []
+    assert main(["analyze", "--problem", "ex5_5k10", "--mesh", "mesh135", "--J", "9",
+                 "--out", str(tmp_path / "analyze")]) == 3
+    assert calls == [generate_structured("mesh135", 9).n_elements]
+
+    t = element_table(mesh, catalog("ex5_4"))
+    assert t.cosines is t.cosines and len(calls) == 2
+    assert np.array_equal(t.cosines, metric_angle_cosines(t.geom, t.D_K))
+
+
+@pytest.mark.parametrize("case", ["mesh45", "mesh135", "jittered", "kuhn"])
+def test_mesh_spacing_is_largest_diameter_bitwise(case):
+    mesh = {"mesh45": lambda: generate_structured("mesh45", 23),
+            "mesh135": lambda: generate_structured("mesh135", 41),
+            "jittered": lambda: jittered_triangle_mesh(11),
+            "kuhn": lambda: kuhn_cube(3)}[case]()
+    h = simplex_geometry(mesh.vertices[mesh.elements]).diameter.max()
+    assert np.float64(mesh_spacing(mesh)).tobytes() == h.tobytes()
+
+
+@pytest.mark.parametrize("name", ["laplace", "ex5_2", "ex5_4", "ex5_5k10", "variable_b_c"])
+def test_coefficient_stats_match_broadcast_reference_bitwise(name):
+    if name == "variable_b_c":  # sup norms taken at vertices as well as nodes
+        coeffs = dataclasses.replace(catalog("ex5_3"),
+                                     reaction=lambda x: 1.0 + x[..., 0] * x[..., 1])
+    else:
+        coeffs = catalog(name)
+    for mesh in (generate_structured("mesh135", 17), jittered_triangle_mesh(3)):
+        t = element_table(mesh, coeffs)
+        ref = broadcast_coefficient_stats(coeffs, t.quad_points, t.quad_weights,
+                                          mesh.vertices[mesh.elements])
+        for got, want in zip((t.D_K, t.b_sup, t.c_sup), ref):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -6,10 +6,10 @@ import scipy.linalg
 from scipy.sparse import csc_matrix, csr_matrix, diags, random as sparse_random
 
 from eigenfem import (NumericalFailureError, SingularMatrixError, build_csr,
-                      hessenberg_eigen, load_matrix_market, lu_factor,
-                      save_matrix_market, solve, validate_csr)
+                      load_matrix_market, lu_factor, save_matrix_market,
+                      solve, validate_csr)
 
-from oracles import hessenberg_eigs_qr
+from oracles import hessenberg_eigen, hessenberg_eigs_qr
 
 
 def tridiag(n, lo, di, up):
