@@ -23,9 +23,8 @@ from .element_geometry import (ElementGeometry, element_geometry,
 from .errors import (CoefficientError, EigenSolveError, MeshError,
                      NumericalFailureError, SingularMatrixError)
 from .matrix_analysis import (IrreducibilityReport, MatrixCertificate,
-                              PerronOracle, ZMatrixReport, irreducibility,
-                              m_matrix_certificate, perron_oracle,
-                              z_matrix_check)
+                              ZMatrixReport, irreducibility,
+                              m_matrix_certificate, z_matrix_check)
 from .mesh import (InteriorConnectivity, SimplicialMesh, edge_patches,
                    export_triangle, generate_structured, import_mesh,
                    interior_connectivity, load_triangle, mesh_from_json,
@@ -53,9 +52,8 @@ __all__ = [
     "quadrature_barycentric", "stiffness_kernel",
     "CoefficientError", "EigenSolveError", "MeshError",
     "NumericalFailureError", "SingularMatrixError",
-    "IrreducibilityReport", "MatrixCertificate", "PerronOracle",
-    "ZMatrixReport", "irreducibility", "m_matrix_certificate",
-    "perron_oracle", "z_matrix_check",
+    "IrreducibilityReport", "MatrixCertificate", "ZMatrixReport",
+    "irreducibility", "m_matrix_certificate", "z_matrix_check",
     "InteriorConnectivity", "SimplicialMesh", "edge_patches",
     "export_triangle", "generate_structured", "import_mesh",
     "interior_connectivity", "load_triangle", "mesh_from_json",

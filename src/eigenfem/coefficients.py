@@ -140,7 +140,7 @@ def _table(coeffs: ProblemCoefficients, X: np.ndarray) -> ElementTable:
 
     D_K = quadrature_average(w, _diffusion(coeffs, pts))
     lam_min, lam_max = _sym_eig_range(D_K)
-    if np.any(lam_min <= 0.0):
+    if not np.all(lam_min > 0.0):  # also catches NaN
         raise CoefficientError("element-averaged diffusion matrix is not PD")
 
     samples = np.concatenate([pts, X], axis=-2)
@@ -339,6 +339,8 @@ def coefficients_from_json(text: str) -> ProblemCoefficients:
     check_spd(D)
     if b.shape != (D.shape[0],):
         raise CoefficientError("convection vector length must match diffusion dimension")
+    if not (np.isfinite(b).all() and math.isfinite(c)):
+        raise CoefficientError("convection and reaction must be finite")
     if c < 0.0:
         # Constant b has zero divergence, so the assumption reduces to c >= 0.
         raise CoefficientError("constant reaction coefficient must be nonnegative")

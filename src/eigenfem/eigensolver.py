@@ -1,10 +1,11 @@
 """Generalized eigensolver for the assembled pencil (A, B).
 
 The smallest-modulus eigenvalues of A v = lambda B v are found by ARPACK's
-implicitly restarted Arnoldi method in shift-invert mode (sigma = 0): the
-operator v -> A^{-1} B v reuses one sparse LU of A, and its largest Ritz
-values mu map back as lambda = 1/mu.  Pencils too small for ARPACK
-(k >= n - 1) go to dense QZ instead.
+implicitly restarted Arnoldi method in regular mode on the one operator
+A^{-1} B with the Euclidean inner product: each step is one product with B
+and one solve with a sparse LU of A, and the largest Ritz values mu map
+back as lambda = 1/mu.  Pencils too small for ARPACK (k >= n - 1) go to
+dense QZ instead.
 
 The iteration is deterministic: it starts from the all-ones vector and
 ARPACK's random generator is seeded.
@@ -83,6 +84,10 @@ def solve_smallest(system: AssembledSystem, k: int, mass: str = "consistent",
                    seed: int = DEFAULT_SEED) -> EigenSolution:
     """Find the k smallest-modulus eigenpairs of A v = lambda B v.
 
+    ARPACK runs regular-mode Arnoldi on A^{-1} B with the Euclidean inner
+    product: each step is one product with B and one LU solve with A.  Its
+    k largest-modulus Ritz values mu give lambda = 1/mu.
+
     Parameters
     ----------
     system : assembled matrices from assembly.assemble
@@ -120,19 +125,20 @@ def solve_smallest(system: AssembledSystem, k: int, mass: str = "consistent",
     else:
         n_solves = 0
 
-        def apply_inverse(x):
+        def apply_op(x):
             nonlocal n_solves
             n_solves += 1
-            return solve(factors, x)
+            return solve(factors, B @ x)
 
         krylov_dim = min(max_krylov if max_krylov is not None
                          else max(2 * k_eff + 1, 20), n)
-        op_inv = LinearOperator((n, n), matvec=apply_inverse, dtype=np.float64)
+        op = LinearOperator((n, n), matvec=apply_op, dtype=np.float64)
         try:
-            lam, U = eigs(A, k=k_eff, M=B, sigma=0, OPinv=op_inv, v0=np.ones(n),
-                          tol=0, ncv=krylov_dim, rng=seed)
+            mu, U = eigs(op, k=k_eff, which="LM", v0=np.ones(n), tol=0,
+                         ncv=krylov_dim, rng=seed)
         except ArpackNoConvergence as exc:
-            lam, U = exc.eigenvalues, exc.eigenvectors
+            mu, U = exc.eigenvalues, exc.eigenvectors
+        lam = 1.0 / mu
 
     R = B @ U
     R *= lam

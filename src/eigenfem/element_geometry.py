@@ -102,11 +102,14 @@ def element_geometry(X: np.ndarray) -> ElementGeometry:
 
 
 def check_spd(D: np.ndarray, what: str = "diffusion matrix") -> np.ndarray:
-    """Validate symmetry (within 1e-12 relative) and positive definiteness
-    of one matrix (d, d) or of every matrix in a stack (..., d, d)."""
+    """Validate finiteness, symmetry (within 1e-12 relative) and positive
+    definiteness of one matrix (d, d) or of every matrix in a stack
+    (..., d, d)."""
     D = np.asarray(D, dtype=np.float64)
     if D.ndim < 2 or D.shape[-1] != D.shape[-2]:
         raise CoefficientError(f"{what} must be square, got shape {D.shape}")
+    if not np.isfinite(D).all():
+        raise CoefficientError(f"{what} has non-finite entries")
     DT = np.swapaxes(D, -1, -2)
     scale = np.maximum(1.0, np.abs(D).max(axis=(-2, -1)))
     if np.any(np.abs(D - DT).max(axis=(-2, -1)) > SYMMETRY_TOL * scale):

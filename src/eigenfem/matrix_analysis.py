@@ -5,8 +5,7 @@ definite symmetric part is a nonsingular M-matrix; if it is additionally
 irreducible, its inverse is entrywise strictly positive and the smallest
 generalized eigenvalue against a positive-definite mass matrix is real,
 simple, and has a positive eigenvector.  This module checks those
-hypotheses directly on the sparse matrix and, for small systems, verifies
-the conclusion against a dense inverse ("Perron oracle").
+hypotheses directly on the sparse matrix.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ import numpy as np
 from scipy.sparse import csr_matrix, issparse
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
-
-from .errors import SingularMatrixError
 
 # Entries within this relative tolerance of zero are treated as zero both
 # for sign checks and for the sparsity pattern used by irreducibility.
@@ -173,59 +170,3 @@ def m_matrix_certificate(A) -> MatrixCertificate:
         is_m_matrix=z.passed and spd,
         method=f"Z-matrix sign pattern + positive definite symmetric part ({how})",
     )
-
-
-@dataclass(frozen=True)
-class PerronOracle:
-    """Dense ground truth for the Perron pair of A^{-1} B."""
-
-    inverse_positive: bool
-    perron_value: float
-    perron_vector_positive: bool
-    converged: bool
-    iterations: int
-
-
-def perron_oracle(A, B, n_limit: int = 400, max_iter: int = 20000,
-                  tol: float = 1e-12) -> PerronOracle:
-    """Compute the Perron pair of A^{-1} B by dense inversion + power iteration.
-
-    Intended as an independent check for small systems only: n above
-    n_limit is rejected.  inverse_positive reports whether every entry of
-    the dense inverse exceeds 1e-14 times the largest entry magnitude.
-    The dominant eigenvalue of A^{-1} B is the reciprocal of the smallest
-    generalized eigenvalue of (A, B).
-    """
-    M = _as_csr(A)
-    n = M.shape[0]
-    if n > n_limit:
-        raise ValueError(f"perron_oracle limited to n <= {n_limit}, got {n}")
-    try:
-        Ainv = np.linalg.inv(M.toarray())
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("matrix is numerically singular") from exc
-    scale = float(np.abs(Ainv).max())
-    inverse_positive = bool(Ainv.min() > ZERO_REL_TOL * scale)
-
-    Bd = _as_csr(B).toarray()
-    T = Ainv @ Bd
-
-    x = np.ones(n) / np.sqrt(n)
-    mu = 0.0
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        y = T @ x
-        mu = float(x @ y)
-        norm_y = float(np.linalg.norm(y))
-        if norm_y == 0.0:
-            break
-        resid = float(np.linalg.norm(y - mu * x))
-        x = y / norm_y
-        if resid <= tol * max(abs(mu), 1e-300):
-            converged = True
-            break
-
-    amax = float(np.abs(x).max())
-    positive = bool(x.min() > ZERO_REL_TOL * amax) or bool((-x).min() > ZERO_REL_TOL * amax)
-    return PerronOracle(inverse_positive, mu, positive, converged, it)

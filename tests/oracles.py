@@ -21,19 +21,23 @@ Everything here deliberately avoids the code paths under test:
 * loop_write_vtk and loop_parse_node / loop_parse_ele format and parse
   files one value at a time, never through bulk array conversions;
 * loop_z_matrix_check walks a CSR matrix entry by entry for the first
-  sign violation, never through whole-array masks.
+  sign violation, never through whole-array masks;
+* perron_oracle finds the Perron pair of A^{-1} B from a dense inverse
+  and power iteration, never a sparse LU or ARPACK.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from eigenfem.element_geometry import quadrature_barycentric
-from eigenfem.errors import MeshError, NumericalFailureError
+from eigenfem.errors import (MeshError, NumericalFailureError,
+                             SingularMatrixError)
 
 
 def dense_generalized_eigs(A, B, k: int | None = None) -> np.ndarray:
@@ -437,3 +441,57 @@ def loop_z_matrix_check(A) -> tuple[bool, float, tuple | None]:
             if (v < -tol) if i == j else (v > tol):
                 return False, scale, (i, j, v)
     return True, scale, None
+
+
+@dataclass(frozen=True)
+class PerronOracle:
+    """Dense ground truth for the Perron pair of A^{-1} B."""
+
+    inverse_positive: bool
+    perron_value: float
+    perron_vector_positive: bool
+    converged: bool
+    iterations: int
+
+
+def perron_oracle(A, B, n_limit: int = 400, max_iter: int = 20000,
+                  tol: float = 1e-12) -> PerronOracle:
+    """Compute the Perron pair of A^{-1} B by dense inversion + power iteration.
+
+    For small sparse systems only: n above n_limit is rejected.
+    inverse_positive reports whether every entry of the dense inverse
+    exceeds 1e-14 times the largest entry magnitude.  The dominant
+    eigenvalue of A^{-1} B is the reciprocal of the smallest generalized
+    eigenvalue of (A, B).
+    """
+    n = A.shape[0]
+    if n > n_limit:
+        raise ValueError(f"perron_oracle limited to n <= {n_limit}, got {n}")
+    try:
+        Ainv = np.linalg.inv(A.toarray())
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("matrix is numerically singular") from exc
+    scale = float(np.abs(Ainv).max())
+    inverse_positive = bool(Ainv.min() > 1e-14 * scale)
+
+    T = Ainv @ B.toarray()
+
+    x = np.ones(n) / np.sqrt(n)
+    mu = 0.0
+    converged = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        y = T @ x
+        mu = float(x @ y)
+        norm_y = float(np.linalg.norm(y))
+        if norm_y == 0.0:
+            break
+        resid = float(np.linalg.norm(y - mu * x))
+        x = y / norm_y
+        if resid <= tol * max(abs(mu), 1e-300):
+            converged = True
+            break
+
+    amax = float(np.abs(x).max())
+    positive = bool(x.min() > 1e-14 * amax) or bool((-x).min() > 1e-14 * amax)
+    return PerronOracle(inverse_positive, mu, positive, converged, it)

@@ -21,11 +21,11 @@ from eigenfem import (CATALOG_NAMES, assemble, catalog, coefficients_from_json,
                       convergence_study, evaluate_conditions,
                       generate_structured, import_mesh,
                       export_triangle, lu_factor, m_matrix_certificate,
-                      perron_oracle, property_suite, solve_smallest,
-                      SimplicialMesh)
+                      property_suite, solve_smallest, SimplicialMesh)
 from eigenfem.sparse_linalg import solve as lu_solve
 
-from oracles import dense_generalized_eigs_cond, hessenberg_eigen
+from oracles import (dense_generalized_eigs_cond, hessenberg_eigen,
+                     perron_oracle)
 
 
 class _Record:

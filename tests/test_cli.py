@@ -338,6 +338,24 @@ def test_problem_json_descriptor(tmp_path):
     assert abs(props["lambda_1"]["re"] - 2 * np.pi ** 2) <= 0.5
 
 
+@pytest.mark.parametrize("command", ["analyze", "solve"])
+@pytest.mark.parametrize("field, value", [
+    ("diffusion", [[float("nan"), 0.0], [0.0, 1.0]]),
+    ("convection", [float("inf"), 0.0]),
+    ("reaction", float("nan")),
+], ids=["nan-diffusion", "inf-convection", "nan-reaction"])
+def test_non_finite_coefficient_exit_one(tmp_path, capsys, command, field, value):
+    # json.dumps writes NaN and Infinity, which json.loads reads back
+    spec = {"diffusion": [[1.0, 0.0], [0.0, 1.0]], "convection": [0.0, 0.0],
+            "reaction": 0.0, field: value}
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(spec))
+    argv = [command, "--problem", str(path), "--mesh", "mesh45", "--J", "5",
+            "--out", str(tmp_path / "out")]
+    assert run(argv + (["--k", "2"] if command == "solve" else [])) == 1
+    assert "finite" in capsys.readouterr().err
+
+
 def test_solver_failure_exit_four(tmp_path, monkeypatch):
     # force a solver failure by patching solve_smallest to raise
     import eigenfem.cli as cli_mod

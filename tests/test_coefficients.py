@@ -147,6 +147,31 @@ def test_coefficients_from_json_rejects_bad():
                                '"convection": [0, 0], "reaction": -1.0}')
 
 
+@pytest.mark.parametrize("diffusion, convection, reaction", [
+    ("[[NaN, 0], [0, 1]]", "[0, 0]", "0"),
+    ("[[Infinity, 0], [0, 1]]", "[0, 0]", "0"),
+    ("[[1, 0], [0, 1]]", "[NaN, 0]", "0"),
+    ("[[1, 0], [0, 1]]", "[0, -Infinity]", "0"),
+    ("[[1, 0], [0, 1]]", "[0, 0]", "NaN"),
+    ("[[1, 0], [0, 1]]", "[0, 0]", "Infinity"),
+], ids=["nan-D", "inf-D", "nan-b", "inf-b", "nan-c", "inf-c"])
+def test_coefficients_from_json_rejects_non_finite(diffusion, convection, reaction):
+    # json.loads accepts NaN and Infinity; each comparison against NaN is False
+    with pytest.raises(CoefficientError):
+        coefficients_from_json(f'{{"diffusion": {diffusion}, '
+                               f'"convection": {convection}, "reaction": {reaction}}}')
+
+
+def test_nan_element_average_is_not_pd(monkeypatch):
+    # behind the SPD check, a NaN lambda_min of D_K still counts as not PD
+    import eigenfem.coefficients
+
+    monkeypatch.setattr(eigenfem.coefficients, "check_spd", lambda D: D)
+    bad = _with_diffusion(lambda x: np.array([[math.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(CoefficientError, match="not PD"):
+        element_table(generate_structured("mesh45", 5), bad)
+
+
 def _with_diffusion(diffusion) -> ProblemCoefficients:
     return ProblemCoefficients(label="D", dim=2, diffusion=diffusion,
                                convection=lambda x: np.zeros(2), reaction=lambda x: 0.0,

@@ -1,4 +1,4 @@
-"""Tests for the shift-invert Arnoldi eigensolver and property suite."""
+"""Tests for the Arnoldi eigensolver on A^{-1} B and the property suite."""
 
 import math
 
@@ -278,3 +278,49 @@ def test_arpack_no_convergence_returns_partial_pairs(monkeypatch):
     assert sol.k_requested == 6
     assert len(sol.eigenvalues) == 2 and sol.k_converged == 2
     assert sol.n_solves > 0
+
+
+class _CountingMass(scipy.sparse.csr_matrix):
+    """A mass matrix that counts its products with a single vector."""
+
+    vector_products = 0
+
+    def __matmul__(self, other):
+        if np.ndim(other) == 1 or np.shape(other)[-1] == 1:
+            self.vector_products += 1
+        return super().__matmul__(other)
+
+
+@pytest.mark.parametrize("mass", ["consistent", "lumped"])
+def test_one_mass_product_per_lu_solve(monkeypatch, mass):
+    # ARPACK runs on the one operator A^{-1} B: each step is one B product
+    # and one LU solve, with no B-inner products on top.  The residual test
+    # multiplies B by all six vectors at once and is not counted.
+    real_mass_matrix = eigenfem.eigensolver._mass_matrix
+    made = []
+
+    def counting_mass_matrix(system, mass):
+        B, maxabs = real_mass_matrix(system, mass)
+        made.append(_CountingMass(B))
+        return made[-1], maxabs
+
+    monkeypatch.setattr(eigenfem.eigensolver, "_mass_matrix", counting_mass_matrix)
+    _, s = system_for("ex5_2", "mesh45", 21)
+    sol = solve_smallest(s, k=6, mass=mass)
+    assert len(made) == 1 and sol.n_solves > 0
+    assert 0 < made[0].vector_products <= sol.n_solves
+
+
+@pytest.mark.parametrize("mass", ["consistent", "lumped"])
+@pytest.mark.parametrize("name, kind", [("laplace", "mesh45"), ("laplace", "mesh135"),
+                                        ("ex5_1", "mesh45")])
+def test_symmetric_spectrum_matches_dense_qz(name, kind, mass):
+    # k = 8 on J = 17 takes in laplace's double eigenvalue lambda_2 = lambda_3
+    _, s = system_for(name, kind, 17)
+    B = s.B if mass == "consistent" else scipy.sparse.diags(s.B_lumped)
+    ref = dense_generalized_eigs(s.A, B, k=8)
+    assert np.all(ref.imag == 0.0)
+    sol = solve_smallest(s, k=8, mass=mass)
+    assert sol.k_converged == 8
+    rel = np.abs(sol.eigenvalues - ref.real) / ref.real
+    assert rel.max() <= 1e-12, rel

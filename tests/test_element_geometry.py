@@ -182,6 +182,15 @@ def test_check_spd_rejects():
         check_spd(np.array([[1.0, 0.5], [0.4, 1.0]]), "test")  # nonsymmetric
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_check_spd_rejects_non_finite(bad):
+    # neither the symmetry test nor Cholesky fails on NaN
+    for D in (np.array([[bad, 0.0], [0.0, 1.0]]),
+              np.stack([np.eye(2), np.array([[1.0, bad], [bad, 1.0]])])):
+        with pytest.raises(CoefficientError, match="non-finite"):
+            check_spd(D, "test")
+
+
 def test_quadrature_rule_degree_two():
     # both rules integrate all monomials of degree <= 2 exactly on the
     # reference simplex: integral of l1^a l2^b over the simplex has the

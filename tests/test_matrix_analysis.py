@@ -7,10 +7,9 @@ from scipy.sparse import block_diag, csr_matrix, diags
 
 from eigenfem import (SingularMatrixError, assemble, catalog,
                       generate_structured, irreducibility,
-                      m_matrix_certificate, perron_oracle, solve_smallest,
-                      z_matrix_check)
+                      m_matrix_certificate, solve_smallest, z_matrix_check)
 
-from oracles import loop_z_matrix_check
+from oracles import loop_z_matrix_check, perron_oracle
 
 
 def laplace_system(J, kind="mesh45"):
