@@ -16,6 +16,7 @@ by the degree-2 rule.  Mass entries use the exact closed forms
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -23,7 +24,7 @@ from scipy.sparse import csr_matrix
 from .coefficients import ElementTable, ProblemCoefficients, element_table
 from .element_geometry import quadrature_barycentric
 from .mesh import SimplicialMesh
-from .sparse_linalg import build_csr, save_matrix_market
+from .sparse_linalg import LUFactors, build_csr, lu_factor, save_matrix_market
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,11 @@ class AssembledSystem:
     effective_reaction: csr_matrix
     mesh_ref: str
     coeffs_ref: str
+
+    @cached_property
+    def lu(self) -> LUFactors:
+        """Sparse LU of A, made on first use; the solver and the certificate share it."""
+        return lu_factor(self.A)
 
 
 def assemble(mesh: SimplicialMesh, coeffs: ProblemCoefficients, *,

@@ -225,7 +225,7 @@ def cmd_analyze(args) -> int:
             "z_violation": cert.z_violation,
             "is_irreducible": cert.is_irreducible,
             "n_strong_components": cert.n_strong_components,
-            "spd_symmetric_part": cert.spd_symmetric_part,
+            "semipositive": cert.semipositive,
             "is_m_matrix": cert.is_m_matrix,
             "certified_irreducible_m_matrix": cert.certified_irreducible_m_matrix,
             "method": cert.method,
@@ -261,7 +261,6 @@ def cmd_solve(args) -> int:
                        node=args.node, ele=args.ele, k=args.k, mass=args.mass,
                        tol=args.tol, out=args.out)
     system = assemble(mesh, coeffs)
-    cert = m_matrix_certificate(system.A)
     try:
         sol = solve_smallest(system, k=args.k, mass=args.mass, tol=args.tol)
     except (EigenSolveError, SingularMatrixError, NumericalFailureError) as exc:
@@ -270,6 +269,7 @@ def cmd_solve(args) -> int:
     if sol.k_converged == 0:
         print("solver failure: no eigenpair converged", file=sys.stderr)
         return EXIT_SOLVER
+    cert = m_matrix_certificate(system.A, system.lu)
     props = property_suite(sol, system, coeffs, cert)
 
     os.makedirs(args.out, exist_ok=True)

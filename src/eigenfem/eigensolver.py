@@ -26,7 +26,7 @@ from .assembly import AssembledSystem, assemble, rayleigh
 from .coefficients import ProblemCoefficients, catalog, REFERENCE_VALUES
 from .errors import EigenSolveError
 from .mesh import generate_structured, mesh_spacing
-from .sparse_linalg import lu_factor, solve
+from .sparse_linalg import solve
 
 DEFAULT_SEED = 1234
 
@@ -115,7 +115,7 @@ def solve_smallest(system: AssembledSystem, k: int, mass: str = "consistent",
     A = system.A
     maxabs_A = float(np.abs(A.data).max()) if A.nnz else 0.0
     # factored on both paths, so a singular A raises SingularMatrixError
-    factors = lu_factor(A)
+    factors = system.lu
 
     if k_eff >= n - 1:
         lam, U = scipy.linalg.eig(A.toarray(), B.toarray())

@@ -24,6 +24,9 @@ from .errors import CoefficientError, MeshError
 # metric data cannot produce 0 or pi exactly.
 ANGLE_CLAMP = 1e-12
 SYMMETRY_TOL = 1e-12
+# A Cholesky pivot (squared diagonal of the factor) at most this times max|D|
+# marks D singular: [[2, 2], [2, 2]] has a last pivot of eps * max|D|, not 0.
+SPD_PIVOT_TOL = 16 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -103,21 +106,23 @@ def element_geometry(X: np.ndarray) -> ElementGeometry:
 
 def check_spd(D: np.ndarray, what: str = "diffusion matrix") -> np.ndarray:
     """Validate finiteness, symmetry (within 1e-12 relative) and positive
-    definiteness of one matrix (d, d) or of every matrix in a stack
-    (..., d, d)."""
+    definiteness (every Cholesky pivot above SPD_PIVOT_TOL * max|D|) of one
+    matrix (d, d) or of every matrix in a stack (..., d, d)."""
     D = np.asarray(D, dtype=np.float64)
     if D.ndim < 2 or D.shape[-1] != D.shape[-2]:
         raise CoefficientError(f"{what} must be square, got shape {D.shape}")
     if not np.isfinite(D).all():
         raise CoefficientError(f"{what} has non-finite entries")
     DT = np.swapaxes(D, -1, -2)
-    scale = np.maximum(1.0, np.abs(D).max(axis=(-2, -1)))
-    if np.any(np.abs(D - DT).max(axis=(-2, -1)) > SYMMETRY_TOL * scale):
+    absmax = np.abs(D).max(axis=(-2, -1))
+    if np.any(np.abs(D - DT).max(axis=(-2, -1)) > SYMMETRY_TOL * np.maximum(1.0, absmax)):
         raise CoefficientError(f"{what} is not symmetric")
     try:
-        np.linalg.cholesky(0.5 * (D + DT))
+        L = np.linalg.cholesky(0.5 * (D + DT))
     except np.linalg.LinAlgError:
         raise CoefficientError(f"{what} is not positive definite") from None
+    if np.any(np.diagonal(L, axis1=-2, axis2=-1).min(axis=-1) ** 2 <= SPD_PIVOT_TOL * absmax):
+        raise CoefficientError(f"{what} is not positive definite")
     return D
 
 

@@ -1,7 +1,7 @@
 """Structural certificates for assembled stiffness matrices.
 
-A matrix that is a Z-matrix (nonpositive off-diagonals) with positive
-definite symmetric part is a nonsingular M-matrix; if it is additionally
+A Z-matrix (nonpositive off-diagonals) is a nonsingular M-matrix iff some
+x > 0 has A x > 0 (Berman & Plemmons 1994, ch. 6, I27); if it is also
 irreducible, its inverse is entrywise strictly positive and the smallest
 generalized eigenvalue against a positive-definite mass matrix is real,
 simple, and has a positive eigenvector.  This module checks those
@@ -15,14 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix, issparse
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
+
+from .errors import SingularMatrixError
+from .sparse_linalg import LUFactors, lu_factor, solve
 
 # Entries within this relative tolerance of zero are treated as zero both
 # for sign checks and for the sparsity pattern used by irreducibility.
 ZERO_REL_TOL = 1e-14
-# Above this dimension the positive-definiteness check switches from a
-# dense Cholesky factorization to a sparse symmetric LU.
-DENSE_PD_LIMIT = 600
 
 
 def _as_csr(A) -> csr_matrix:
@@ -100,37 +99,25 @@ def _irreducibility(M: csr_matrix) -> IrreducibilityReport:
     return IrreducibilityReport(n_comp == 1, int(n_comp))
 
 
-def _sym_part_positive_definite(A: csr_matrix) -> tuple[bool, str]:
-    """Positive definiteness of (A + A^T)/2.
+def _semipositive(M: csr_matrix, factors: LUFactors | None) -> bool:
+    """Whether x = A^{-1} 1 is positive with A x > 0 (singular A: False).
 
-    Small systems use a dense Cholesky factorization; larger ones a sparse
-    LU with symmetric permutation and no row pivoting, where all-positive
-    U diagonal is equivalent to positive definiteness (Sylvester's law on
-    the LDL^T pivots).
+    fl(A x)_i must exceed (m + 2) eps (|A| x)_i, m the largest row count,
+    which bounds the rounding error of the product (Higham 2002, ch. 3).
     """
-    n = A.shape[0]
-    S = csr_matrix((A + A.T) * 0.5)
-    if n <= DENSE_PD_LIMIT:
+    n = M.shape[0]
+    if n == 0:
+        return True
+    if factors is None:
         try:
-            np.linalg.cholesky(S.toarray())
-            return True, "dense Cholesky"
-        except np.linalg.LinAlgError:
-            return False, "dense Cholesky"
-    try:
-        fac = splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    except RuntimeError:
-        return False, "sparse symmetric LU (factorization broke down)"
-    if not np.array_equal(fac.perm_r, fac.perm_c):
-        # Row pivoting kicked in; the pivot-sign argument no longer applies,
-        # so fall back to the dense check.
-        try:
-            np.linalg.cholesky(S.toarray())
-            return True, "dense Cholesky (sparse fallback)"
-        except np.linalg.LinAlgError:
-            return False, "dense Cholesky (sparse fallback)"
-    pivots = fac.U.diagonal()
-    return bool(np.all(pivots > 0.0)), "sparse symmetric LU"
+            factors = lu_factor(M)
+        except SingularMatrixError:
+            return False
+    x = solve(factors, np.ones(n))
+    if not np.all(x > 0.0):
+        return False
+    gamma = (np.diff(M.indptr).max() + 2) * np.finfo(np.float64).eps
+    return bool(np.all(M @ x > gamma * (abs(M) @ x)))
 
 
 @dataclass(frozen=True)
@@ -141,7 +128,7 @@ class MatrixCertificate:
     z_violation: tuple[int, int, float] | None
     is_irreducible: bool
     n_strong_components: int
-    spd_symmetric_part: bool
+    semipositive: bool | None   # None when not a Z-matrix: the test proves nothing then
     is_m_matrix: bool
     method: str
 
@@ -150,23 +137,24 @@ class MatrixCertificate:
         return self.is_m_matrix and self.is_irreducible
 
 
-def m_matrix_certificate(A) -> MatrixCertificate:
+def m_matrix_certificate(A, factors: LUFactors | None = None) -> MatrixCertificate:
     """Certify that A is a (possibly irreducible) nonsingular M-matrix.
 
-    The sufficient test is: Z-matrix sign pattern plus positive definite
-    symmetric part.  Irreducibility is reported separately so that a
-    reducible M-matrix is still recognized as such.
+    The test is: Z-matrix sign pattern, then semipositivity at
+    x = A^{-1} 1, solved with the given LU factors of A or, when none are
+    given, with a factorization made here.  Irreducibility is reported
+    separately so that a reducible M-matrix is still recognized as such.
     """
     M = _as_csr(A)
     z = _z_matrix(M)
     irr = _irreducibility(M)
-    spd, how = _sym_part_positive_definite(M)
+    semipositive = _semipositive(M, factors) if z.passed else None
     return MatrixCertificate(
         is_z_matrix=z.passed,
         z_violation=z.violation,
         is_irreducible=irr.irreducible,
         n_strong_components=irr.n_components,
-        spd_symmetric_part=spd,
-        is_m_matrix=z.passed and spd,
-        method=f"Z-matrix sign pattern + positive definite symmetric part ({how})",
+        semipositive=semipositive,
+        is_m_matrix=bool(semipositive),
+        method="Z-matrix sign pattern + semipositivity (x = A^-1 1 > 0, A x > 0)",
     )

@@ -48,14 +48,12 @@ def validate_csr(A: csr_matrix) -> None:
 class LUFactors:
     """Sparse LU factorization Pr A Pc = L U.
 
-    perm_r and perm_c are the row and fill-reducing column permutations,
     L is unit lower triangular, U upper triangular, and pivots holds
-    |diag(U)|.  The splu handle performs the actual triangular solves.
+    |diag(U)|.  The splu handle holds the row and fill-reducing column
+    permutations and performs the actual triangular solves.
     """
 
     n: int
-    perm_r: np.ndarray
-    perm_c: np.ndarray
     L: csc_matrix
     U: csc_matrix
     pivots: np.ndarray
@@ -67,8 +65,9 @@ def lu_factor(A) -> LUFactors:
 
     Uses a minimum-degree ordering of A^T + A for fill reduction.  A pivot
     below 1e-12 of the largest is reported as singular rather than being
-    used: the certified path only factors positive definite matrices, so a
-    tiny pivot signals an upstream problem.
+    used.  A may be nonsymmetric: the same factors serve the M-matrix
+    certificate, which reads a singular factorization as "not an
+    M-matrix", and the eigensolver, which reports it as a solver failure.
     """
     A = csc_matrix(A)
     if A.shape[0] != A.shape[1]:
@@ -85,8 +84,7 @@ def lu_factor(A) -> LUFactors:
         raise SingularMatrixError(
             f"numerically singular: pivot ratio {pivots.min() / pivots.max():.3e}"
         )
-    return LUFactors(n, handle.perm_r.copy(), handle.perm_c.copy(),
-                     handle.L, handle.U, pivots, handle)
+    return LUFactors(n, handle.L, handle.U, pivots, handle)
 
 
 def solve(factors: LUFactors, b: np.ndarray) -> np.ndarray:

@@ -22,6 +22,8 @@ Everything here deliberately avoids the code paths under test:
   files one value at a time, never through bulk array conversions;
 * loop_z_matrix_check walks a CSR matrix entry by entry for the first
   sign violation, never through whole-array masks;
+* dense_m_matrix_oracle decides the M-matrix property from a dense
+  inverse, never a sparse LU or the semipositivity test;
 * perron_oracle finds the Perron pair of A^{-1} B from a dense inverse
   and power iteration, never a sparse LU or ARPACK.
 """
@@ -441,6 +443,24 @@ def loop_z_matrix_check(A) -> tuple[bool, float, tuple | None]:
             if (v < -tol) if i == j else (v > tol):
                 return False, scale, (i, j, v)
     return True, scale, None
+
+
+def dense_m_matrix_oracle(A) -> bool:
+    """Whether the sparse matrix A is a nonsingular M-matrix.
+
+    A Z-matrix is a nonsingular M-matrix exactly when it is invertible with
+    an entrywise nonnegative inverse (Berman & Plemmons, Nonnegative
+    Matrices in the Mathematical Sciences, 1994, ch. 6, Thm 2.3).  The
+    sign pattern is loop_z_matrix_check's; the inverse is LAPACK's dense
+    one, and a singular matrix is not an M-matrix.
+    """
+    if not loop_z_matrix_check(A)[0]:
+        return False
+    try:
+        inv = np.linalg.inv(A.toarray())
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.all(inv >= 0.0))
 
 
 @dataclass(frozen=True)

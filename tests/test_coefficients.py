@@ -191,6 +191,14 @@ def test_constant_non_spd_diffusion_rejected(D):
         check_assumptions(bad, mesh.vertices)
 
 
+def test_singular_diffusion_rejected_by_check_assumptions():
+    # a scalar 2.0 broadcasts to the singular [[2, 2], [2, 2]], whose last
+    # Cholesky pivot rounds to eps * 2 instead of 0
+    bad = _with_diffusion(lambda x: 2.0)
+    with pytest.raises(CoefficientError, match="not positive definite"):
+        check_assumptions(bad, generate_structured("mesh45", 5).vertices)
+
+
 @pytest.mark.parametrize("q", [0, 1, 2])
 def test_diffusion_indefinite_at_one_node_rejected(q):
     # D is the identity except at one quadrature node, node q of one element

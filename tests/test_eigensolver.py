@@ -252,6 +252,8 @@ def test_stored_residuals_match_returned_vectors(mass):
         B, maxB = s.B, np.abs(s.B.data).max()
     else:
         B, maxB = scipy.sparse.diags(s.B_lumped), np.abs(s.B_lumped).max()
+    # all() of an empty array is True: an empty solution must not pass
+    assert sol.k_converged == 6 and len(sol.eigenvalues) == 6
     assert sol.converged.all()
     for lam, v, r in zip(sol.eigenvalues, sol.vectors, sol.residuals):
         scale = maxA + abs(lam) * maxB

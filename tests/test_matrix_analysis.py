@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from scipy.sparse import block_diag, csr_matrix, diags
 
-from eigenfem import (SingularMatrixError, assemble, catalog,
-                      generate_structured, irreducibility,
+from eigenfem import (CATALOG_NAMES, SingularMatrixError, assemble, catalog,
+                      generate_structured, irreducibility, lu_factor,
                       m_matrix_certificate, solve_smallest, z_matrix_check)
 
-from oracles import loop_z_matrix_check, perron_oracle
+from oracles import dense_m_matrix_oracle, loop_z_matrix_check, perron_oracle
 
 
 def laplace_system(J, kind="mesh45"):
@@ -97,7 +97,7 @@ def test_certificate_stieltjes():
     s = laplace_system(7)
     cert = m_matrix_certificate(s.A)
     assert cert.is_z_matrix and cert.is_irreducible
-    assert cert.spd_symmetric_part and cert.is_m_matrix
+    assert cert.semipositive and cert.is_m_matrix
     assert cert.certified_irreducible_m_matrix
 
 
@@ -113,16 +113,70 @@ def test_certificate_fails_on_mesh135_anisotropic():
 
 def test_certificate_negative_identity():
     cert = m_matrix_certificate(csr_matrix(-np.eye(4)))
-    assert not cert.spd_symmetric_part
+    assert not cert.semipositive
     assert not cert.is_m_matrix
 
 
-def test_certificate_large_uses_sparse_path():
-    # n = 6241 > dense limit: exercises the sparse symmetric LU branch
+def test_certificate_large_semipositive():
+    # n = 6241: one sparse LU of A gives x = A^-1 1 > 0 with A x > 0
     s = laplace_system(81)
     cert = m_matrix_certificate(s.A)
     assert cert.certified_irreducible_m_matrix
-    assert "sparse" in cert.method
+    assert cert.semipositive is True
+    assert "semipositivity" in cert.method
+
+
+def test_certificate_semipositive_with_indefinite_symmetric_part():
+    # an M-matrix whose symmetric part is indefinite: semipositivity
+    # certifies it, where "positive definite (A + A^T)/2" cannot
+    A = csr_matrix(np.array([[1.0, -3.0], [-0.01, 1.0]]))
+    assert np.linalg.eigvalsh(0.5 * (A + A.T).toarray()).min() < 0
+    cert = m_matrix_certificate(A)
+    assert cert.is_z_matrix and cert.semipositive
+    assert cert.certified_irreducible_m_matrix
+    assert dense_m_matrix_oracle(A)
+
+
+@pytest.mark.parametrize("M", [[[1.0, -1.0], [-1.0, 1.0]], [[1.0, -2.0], [-2.0, 1.0]]],
+                         ids=["singular", "inverse-negative"])
+def test_certificate_rejects_z_matrix_that_is_not_m(M):
+    A = csr_matrix(np.array(M))
+    cert = m_matrix_certificate(A)
+    assert cert.is_z_matrix and cert.is_irreducible
+    assert cert.semipositive is False
+    assert not cert.is_m_matrix
+    assert not dense_m_matrix_oracle(A)
+
+
+def test_certificate_uses_the_given_factors(monkeypatch):
+    import eigenfem.matrix_analysis
+
+    s = laplace_system(9)
+    factors = lu_factor(s.A)
+
+    def no_factoring(A):
+        raise AssertionError("m_matrix_certificate factored a matrix")
+
+    monkeypatch.setattr(eigenfem.matrix_analysis, "lu_factor", no_factoring)
+    cert = m_matrix_certificate(s.A, factors)
+    assert cert.semipositive and cert.certified_irreducible_m_matrix
+
+
+def test_certificate_checks_a_x_not_only_x():
+    # factors of the wrong matrix give x = 1 > 0; A x = (-1, -1) rejects it
+    A = csr_matrix(np.array([[1.0, -2.0], [-2.0, 1.0]]))
+    cert = m_matrix_certificate(A, lu_factor(csr_matrix(np.eye(2))))
+    assert cert.semipositive is False
+
+
+@pytest.mark.parametrize("kind", ["mesh45", "mesh135"])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_certificate_matches_dense_oracle(name, kind):
+    for J in (3, 5, 9, 17, 31):
+        A = assemble(generate_structured(kind, J), catalog(name)).A
+        cert = m_matrix_certificate(A)
+        assert cert.is_m_matrix == dense_m_matrix_oracle(A), (name, kind, J)
+        assert (cert.semipositive is None) == (not cert.is_z_matrix)
 
 
 def test_perron_identity():

@@ -64,14 +64,14 @@ def test_lu_rejects_singular():
 
 
 def test_lu_factor_reconstruction():
-    # Pr A Pc = L U with the permutations stored by the factorization
+    # Pr A Pc = L U with the permutations held by the splu handle
     rng = np.random.default_rng(29)
     n = 30
     A = sparse_random(n, n, density=0.2, random_state=29, format="csr")
     A = A + diags(np.full(n, 5.0))
     f = lu_factor(csr_matrix(A))
-    Pr = csc_matrix((np.ones(n), (f.perm_r, np.arange(n))), shape=(n, n))
-    Pc = csc_matrix((np.ones(n), (np.arange(n), f.perm_c)), shape=(n, n))
+    Pr = csc_matrix((np.ones(n), (f._handle.perm_r, np.arange(n))), shape=(n, n))
+    Pc = csc_matrix((np.ones(n), (np.arange(n), f._handle.perm_c)), shape=(n, n))
     lhs = (Pr @ A @ Pc).toarray()
     rhs = (f.L @ f.U).toarray()
     assert np.abs(lhs - rhs).max() <= 1e-10 * np.abs(A.toarray()).max()
