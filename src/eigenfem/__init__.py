@@ -9,59 +9,41 @@ smallest eigenpairs, and verifies the predicted spectral structure
 numerically.
 """
 
-from .assembly import AssembledSystem, assemble, export_system, rayleigh
+from .assembly import AssembledSystem, assemble, rayleigh
 from .coefficients import (CATALOG_NAMES, REFERENCE_VALUES, ElementTable,
-                           ProblemCoefficients, catalog,
-                           check_assumptions, coefficients_from_json,
-                           element_stats, element_table)
+                           ProblemCoefficients, catalog, coefficients_from_json,
+                           element_table)
 from .eigensolver import (ConvergenceStudy, EigenSolution, PropertyReport,
                           convergence_study, property_suite, solve_smallest)
-from .element_geometry import (ElementGeometry, element_geometry,
-                               max_metric_angle, metric_altitudes,
-                               metric_angle_cosines, metric_dihedral_angle,
-                               quadrature_barycentric, stiffness_kernel)
-from .errors import (CoefficientError, EigenSolveError, MeshError,
-                     NumericalFailureError, SingularMatrixError)
-from .matrix_analysis import (IrreducibilityReport, MatrixCertificate,
-                              ZMatrixReport, irreducibility,
-                              m_matrix_certificate, z_matrix_check)
-from .mesh import (InteriorConnectivity, SimplicialMesh, edge_patches,
-                   export_triangle, generate_structured, import_mesh,
-                   interior_connectivity, load_triangle, mesh_from_json,
-                   mesh_spacing, mesh_to_json)
-from .mesh_conditions import (ConditionReport, DelaunayReport,
-                              EntryBoundReport, MUniformity, NonobtuseReport,
-                              check_delaunay_type, check_nonobtuse,
-                              entry_bound_report, evaluate_conditions,
-                              m_uniformity)
-from .sparse_linalg import (LUFactors, build_csr, load_matrix_market,
-                            lu_factor, save_matrix_market, solve,
-                            validate_csr)
+from .element_geometry import (ElementGeometry, metric_altitudes,
+                               metric_angle_cosines, quadrature_barycentric)
+from .errors import CoefficientError, EigenSolveError, MeshError, SingularMatrixError
+from .matrix_analysis import MatrixCertificate, m_matrix_certificate
+from .mesh import (InteriorConnectivity, SimplicialMesh, export_triangle,
+                   generate_structured, import_mesh, interior_connectivity,
+                   load_triangle, mesh_spacing)
+from .mesh_conditions import (ConditionReport, DelaunayReport, EntryBoundReport,
+                              NonobtuseReport, entry_bound_report,
+                              evaluate_conditions)
+from .sparse_linalg import LUFactors, build_csr, lu_factor, solve
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssembledSystem", "assemble", "export_system", "rayleigh",
+    "AssembledSystem", "assemble", "rayleigh",
     "CATALOG_NAMES", "REFERENCE_VALUES", "ProblemCoefficients", "catalog",
-    "check_assumptions", "coefficients_from_json", "element_stats",
-    "ElementTable", "element_table",
+    "coefficients_from_json", "ElementTable", "element_table",
     "ConvergenceStudy", "EigenSolution", "PropertyReport",
     "convergence_study", "property_suite", "solve_smallest",
-    "ElementGeometry", "element_geometry", "max_metric_angle",
-    "metric_altitudes", "metric_angle_cosines", "metric_dihedral_angle",
-    "quadrature_barycentric", "stiffness_kernel",
-    "CoefficientError", "EigenSolveError", "MeshError",
-    "NumericalFailureError", "SingularMatrixError",
-    "IrreducibilityReport", "MatrixCertificate", "ZMatrixReport",
-    "irreducibility", "m_matrix_certificate", "z_matrix_check",
-    "InteriorConnectivity", "SimplicialMesh", "edge_patches",
-    "export_triangle", "generate_structured", "import_mesh",
-    "interior_connectivity", "load_triangle", "mesh_from_json",
-    "mesh_spacing", "mesh_to_json",
-    "ConditionReport", "DelaunayReport", "EntryBoundReport", "MUniformity",
-    "NonobtuseReport", "check_delaunay_type", "check_nonobtuse",
-    "entry_bound_report", "evaluate_conditions", "m_uniformity",
-    "LUFactors", "build_csr", "load_matrix_market", "lu_factor",
-    "save_matrix_market", "solve", "validate_csr",
+    "ElementGeometry", "metric_altitudes", "metric_angle_cosines",
+    "quadrature_barycentric",
+    "CoefficientError", "EigenSolveError", "MeshError", "SingularMatrixError",
+    "MatrixCertificate", "m_matrix_certificate",
+    "InteriorConnectivity", "SimplicialMesh", "export_triangle",
+    "generate_structured", "import_mesh", "interior_connectivity",
+    "load_triangle", "mesh_spacing",
+    "ConditionReport", "DelaunayReport", "EntryBoundReport", "NonobtuseReport",
+    "entry_bound_report", "evaluate_conditions",
+    "LUFactors", "build_csr", "lu_factor", "solve",
     "__version__",
 ]

@@ -24,7 +24,7 @@ from scipy.sparse import csr_matrix
 from .coefficients import ElementTable, ProblemCoefficients, element_table
 from .element_geometry import quadrature_barycentric
 from .mesh import SimplicialMesh
-from .sparse_linalg import LUFactors, build_csr, lu_factor, save_matrix_market
+from .sparse_linalg import LUFactors, build_csr, lu_factor
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,3 @@ def rayleigh(system: AssembledSystem, v: np.ndarray) -> float:
     den = float(v @ (system.B @ v))
     return num / den
 
-
-def export_system(system: AssembledSystem, a_path, b_path) -> None:
-    """Write A and B in MatrixMarket coordinate format."""
-    save_matrix_market(system.A, a_path)
-    save_matrix_market(system.B, b_path)

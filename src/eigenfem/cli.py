@@ -29,11 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import AssembledSystem, assemble
-from .coefficients import (CATALOG_NAMES, ProblemCoefficients, catalog,
-                           coefficients_from_json, element_table)
-from .errors import (CoefficientError, EigenSolveError, MeshError,
-                     NumericalFailureError, SingularMatrixError)
+from .assembly import assemble
+from .coefficients import (CATALOG_NAMES, REFERENCE_VALUES, ProblemCoefficients,
+                           catalog, coefficients_from_json, element_table)
+from .errors import CoefficientError, EigenSolveError, MeshError, SingularMatrixError
 from .eigensolver import convergence_study, property_suite, solve_smallest
 from .matrix_analysis import m_matrix_certificate
 from .mesh import SimplicialMesh, generate_structured, load_triangle
@@ -261,11 +260,7 @@ def cmd_solve(args) -> int:
                        node=args.node, ele=args.ele, k=args.k, mass=args.mass,
                        tol=args.tol, out=args.out)
     system = assemble(mesh, coeffs)
-    try:
-        sol = solve_smallest(system, k=args.k, mass=args.mass, tol=args.tol)
-    except (EigenSolveError, SingularMatrixError, NumericalFailureError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    sol = solve_smallest(system, k=args.k, mass=args.mass, tol=args.tol)
     if sol.k_converged == 0:
         print("solver failure: no eigenpair converged", file=sys.stderr)
         return EXIT_SOLVER
@@ -318,11 +313,16 @@ def cmd_solve(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    coeffs = _load_problem(args)
     J_list = [int(s) for s in args.J.split(",")]
     config = RunConfig("converge", args.problem, args.mesh, J_list=tuple(J_list),
                        mass=args.mass, tol=args.tol, ref=args.ref, out=args.out)
-    study = convergence_study(args.problem, args.mesh, J_list,
-                              reference=args.ref, mass=args.mass, tol=args.tol)
+    reference = args.ref if args.ref is not None else REFERENCE_VALUES.get(args.problem)
+    if reference is None:
+        raise CoefficientError(f"no reference eigenvalue known for problem "
+                               f"{args.problem!r}; pass --ref")
+    study = convergence_study(coeffs, args.mesh, J_list, reference,
+                              mass=args.mass, tol=args.tol)
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for r in study.rows:
@@ -377,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mass", choices=["consistent", "lumped"], default="consistent")
     sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--ref", type=float, default=None,
-                    help="reference eigenvalue (defaults to the catalog value)")
+                    help="reference eigenvalue (defaults to the catalog value; "
+                         "required for a JSON problem)")
     return p
 
 
@@ -398,7 +399,7 @@ def main(argv=None) -> int:
     except (MeshError, CoefficientError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (EigenSolveError, SingularMatrixError, NumericalFailureError) as exc:
+    except (EigenSolveError, SingularMatrixError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

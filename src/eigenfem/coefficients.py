@@ -4,8 +4,8 @@ A problem is the data of the operator  -div(D grad u) + b . grad u + c u
 on a domain with homogeneous Dirichlet conditions.  D must be symmetric
 positive definite pointwise and the pair (b, c) must satisfy
 c - (1/2) div b >= 0, which is what makes the principal eigenvalue theory
-work.  The divergence of b is always supplied analytically, never
-differenced numerically.
+work; element_table checks both at every quadrature node.  The divergence
+of b is always supplied analytically, never differenced numerically.
 """
 
 from __future__ import annotations
@@ -76,32 +76,24 @@ def _diffusion(coeffs: ProblemCoefficients, x: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ElementCoefficientStats:
-    """Element-frozen coefficient data used by assembly and the conditions.
+class ElementTable:
+    """Geometry and coefficient data of N elements, all held as arrays.
 
-    D_K is the quadrature average of the diffusion matrix over the element;
-    b_sup and c_sup are sampled sup norms (quadrature nodes plus vertices).
+    D_K (N, d, d) is the quadrature average of the diffusion matrix over
+    each element and lambda_min_DK, lambda_max_DK (N) its extreme
+    eigenvalues; b_sup and c_sup (N) are sampled sup norms (quadrature
+    nodes plus vertices).  geom is the batch geometry.  quad_points
+    (N, q, d) and quad_weights (N, q) are the degree-2 rule, weights
+    including volumes; convection_q (N, q, d), reaction_q and divergence_q
+    (N, q) are the coefficients at those nodes.  Only the mesh conditions
+    read the metric angles, so cosines is computed on first use and kept.
     """
 
     D_K: np.ndarray
-    lambda_min_DK: float
-    lambda_max_DK: float
-    b_sup: float
-    c_sup: float
-
-
-@dataclass(frozen=True)
-class ElementTable(ElementCoefficientStats):
-    """Geometry and coefficient data of N elements, all held as arrays.
-
-    The ElementCoefficientStats fields and geom (the batch geometry) carry
-    a leading axis N.  quad_points (N, q, d) and quad_weights (N, q) are the
-    degree-2 rule, weights including volumes; convection_q (N, q, d),
-    reaction_q and divergence_q (N, q) are the coefficients at those nodes.
-    Only the mesh conditions read the metric angles, so cosines is computed
-    on first use and kept.
-    """
-
+    lambda_min_DK: np.ndarray
+    lambda_max_DK: np.ndarray
+    b_sup: np.ndarray
+    c_sup: np.ndarray
     geom: ElementGeometry
     quad_points: np.ndarray
     quad_weights: np.ndarray
@@ -147,6 +139,11 @@ def _table(coeffs: ProblemCoefficients, X: np.ndarray) -> ElementTable:
     b, b_raw = _evaluate(coeffs.convection, samples, (d,))
     c, c_raw = _evaluate(coeffs.reaction, samples)
     div_b, _ = _evaluate(coeffs.convection_divergence, pts)
+    eff = c[..., :nq] - 0.5 * div_b
+    bad = np.argwhere(eff < -ASSUMPTION_TOL)
+    if bad.size:
+        at = tuple(bad[0])
+        raise CoefficientError(f"c - 0.5 div b = {eff[at]} < 0 at point {pts[at].tolist()}")
     b_norm = np.broadcast_to(np.linalg.norm(b_raw, axis=-1), b.shape[:-1])
     return ElementTable(
         geom=geom, quad_points=pts, quad_weights=w,
@@ -159,45 +156,15 @@ def _table(coeffs: ProblemCoefficients, X: np.ndarray) -> ElementTable:
 def element_table(mesh: SimplicialMesh, coeffs: ProblemCoefficients) -> ElementTable:
     """Geometry and coefficient data of every element of the mesh.
 
-    Raises CoefficientError as element_stats does, or on a dimension mismatch.
+    Raises CoefficientError on a dimension mismatch, when a sampled
+    diffusion matrix or an element-averaged one is not symmetric positive
+    definite, or when c - (1/2) div b < -1e-12 at a quadrature node.
     """
     if coeffs.dim != mesh.dim:
         raise CoefficientError(
             f"coefficient dimension {coeffs.dim} != mesh dimension {mesh.dim}"
         )
     return _table(coeffs, mesh.vertices[mesh.elements])
-
-
-def element_stats(coeffs: ProblemCoefficients, mesh: SimplicialMesh, K: int) -> ElementCoefficientStats:
-    """Average D over element K and sample sup norms of b and c.
-
-    Raises CoefficientError if a sampled diffusion matrix is not symmetric
-    positive definite.
-    """
-    if not 0 <= K < mesh.n_elements:
-        raise ValueError(f"element id {K} out of range")
-    t = _table(coeffs, mesh.vertices[mesh.elements[K:K + 1]])
-    return ElementCoefficientStats(t.D_K[0], float(t.lambda_min_DK[0]),
-                                   float(t.lambda_max_DK[0]), float(t.b_sup[0]),
-                                   float(t.c_sup[0]))
-
-
-def check_assumptions(coeffs: ProblemCoefficients, points: np.ndarray) -> None:
-    """Verify the operator assumptions at the given sample points.
-
-    Checks that D is SPD and that c - (1/2) div b >= -1e-12 at each point;
-    raises CoefficientError on the first violation.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    _diffusion(coeffs, pts)
-    c, _ = _evaluate(coeffs.reaction, pts)
-    div_b, _ = _evaluate(coeffs.convection_divergence, pts)
-    val = c - 0.5 * div_b
-    bad = np.flatnonzero(val < -ASSUMPTION_TOL)
-    if bad.size:
-        raise CoefficientError(
-            f"c - 0.5 div b = {val[bad[0]]} < 0 at point {pts[bad[0]].tolist()}"
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,14 @@ import scipy.sparse
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
 from .assembly import AssembledSystem, assemble, rayleigh
-from .coefficients import ProblemCoefficients, catalog, REFERENCE_VALUES
+from .coefficients import ProblemCoefficients
 from .errors import EigenSolveError
 from .mesh import generate_structured, mesh_spacing
 from .sparse_linalg import solve
 
-DEFAULT_SEED = 1234
+ARPACK_SEED = 1234
+VARIATIONAL_TRIALS = 200   # random vectors tried against the variational bound
+VARIATIONAL_SEED = 20240817
 
 # Tolerances of the property suite.
 REAL_TOL = 1e-8          # |Im lambda_1| <= REAL_TOL * |lambda_1|
@@ -51,13 +53,8 @@ class EigenSolution:
     principal_vector: np.ndarray | None
     k_requested: int
     k_converged: int
-    mass: str
     krylov_dim: int                  # ARPACK's ncv (n for the dense path)
     n_solves: int                    # LU solves, one per operator application
-
-    @property
-    def lambda1(self) -> complex:
-        return complex(self.eigenvalues[0])
 
 
 def _mass_matrix(system: AssembledSystem, mass: str):
@@ -80,13 +77,13 @@ def _phase_align(u: np.ndarray) -> np.ndarray:
 
 
 def solve_smallest(system: AssembledSystem, k: int, mass: str = "consistent",
-                   tol: float = 1e-10, max_krylov: int | None = None,
-                   seed: int = DEFAULT_SEED) -> EigenSolution:
+                   tol: float = 1e-10) -> EigenSolution:
     """Find the k smallest-modulus eigenpairs of A v = lambda B v.
 
     ARPACK runs regular-mode Arnoldi on A^{-1} B with the Euclidean inner
     product: each step is one product with B and one LU solve with A.  Its
-    k largest-modulus Ritz values mu give lambda = 1/mu.
+    k largest-modulus Ritz values mu give lambda = 1/mu.  The Krylov
+    dimension is min(max(2k + 1, 20), n).
 
     Parameters
     ----------
@@ -95,14 +92,10 @@ def solve_smallest(system: AssembledSystem, k: int, mass: str = "consistent",
     mass : "consistent" (full mass matrix) or "lumped" (row sums)
     tol : relative residual target; a pair counts as converged when
         ||A v - lambda B v|| / ||v|| <= tol * (max|A| + |lambda| max|B|)
-    max_krylov : ARPACK's Krylov dimension ncv, capped at n; default
-        min(max(2k + 1, 20), n).  ARPACK needs k + 1 < ncv.
 
-    Raises ValueError when k < 1, and (from ARPACK) when the Krylov
-    dimension is at most k + 1.  With k >= n - 1 the pencil is solved by
-    dense QZ and max_krylov is not used.  If ARPACK stops before every
-    pair converges, the pairs it has are returned, flagged by the residual
-    test.
+    Raises ValueError when k < 1.  With k >= n - 1 the pencil is solved by
+    dense QZ.  If ARPACK stops before every pair converges, the pairs it
+    has are returned, flagged by the residual test.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -130,12 +123,11 @@ def solve_smallest(system: AssembledSystem, k: int, mass: str = "consistent",
             n_solves += 1
             return solve(factors, B @ x)
 
-        krylov_dim = min(max_krylov if max_krylov is not None
-                         else max(2 * k_eff + 1, 20), n)
+        krylov_dim = min(max(2 * k_eff + 1, 20), n)
         op = LinearOperator((n, n), matvec=apply_op, dtype=np.float64)
         try:
             mu, U = eigs(op, k=k_eff, which="LM", v0=np.ones(n), tol=0,
-                         ncv=krylov_dim, rng=seed)
+                         ncv=krylov_dim, rng=ARPACK_SEED)
         except ArpackNoConvergence as exc:
             mu, U = exc.eigenvalues, exc.eigenvectors
         lam = 1.0 / mu
@@ -172,7 +164,7 @@ def solve_smallest(system: AssembledSystem, k: int, mass: str = "consistent",
     return EigenSolution(
         eigenvalues=lam, vectors=vectors, residuals=res, converged=conv,
         principal_vector=principal, k_requested=k, k_converged=int(conv.sum()),
-        mass=mass, krylov_dim=krylov_dim, n_solves=n_solves,
+        krylov_dim=krylov_dim, n_solves=n_solves,
     )
 
 
@@ -199,8 +191,7 @@ class PropertyReport:
 
 
 def property_suite(solution: EigenSolution, system: AssembledSystem,
-                   coeffs: ProblemCoefficients, certificate=None,
-                   n_trials: int = 200, seed: int = 20240817) -> PropertyReport:
+                   coeffs: ProblemCoefficients, certificate=None) -> PropertyReport:
     """Check the computed spectrum against the predicted structure.
 
     With an irreducible M-matrix stiffness and positive mass, the smallest
@@ -245,9 +236,9 @@ def property_suite(solution: EigenSolution, system: AssembledSystem,
             F1 = rayleigh(system, solution.principal_vector)
             rayleigh_id = bool(abs(F1 - l1.real) <= RAYLEIGH_ID_TOL * l1.real)
         if coeffs.is_symmetric:
-            rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(VARIATIONAL_SEED)
             ok = True
-            for _ in range(n_trials):
+            for _ in range(VARIATIONAL_TRIALS):
                 v = rng.standard_normal(system.n)
                 if rayleigh(system, v) < l1.real - VARIATIONAL_TOL:
                     ok = False
@@ -293,13 +284,14 @@ class ConvergenceStudy:
     slope: float
 
 
-def convergence_study(problem: str, mesh_kind: str, J_list,
-                      reference: float | None = None, mass: str = "consistent",
+def convergence_study(coeffs: ProblemCoefficients, mesh_kind: str, J_list,
+                      reference: float, mass: str = "consistent",
                       tol: float = 1e-10) -> ConvergenceStudy:
     """Refinement study of lambda_1 on a family of structured meshes.
 
     J_list must be strictly increasing with at least 3 entries.  The error
-    at each level is |lambda_1^h - reference| / reference; observed_order
+    at each level is |lambda_1^h - reference| / reference (REFERENCE_VALUES
+    holds defaults for the catalog problems); observed_order
     is the pairwise rate against the previous level and slope the least-
     squares rate over all levels.  Expected rate for the P1 discretization
     is 2 (consistent mass overshoots from above on these problems).
@@ -309,11 +301,6 @@ def convergence_study(problem: str, mesh_kind: str, J_list,
         raise ValueError(f"need at least 3 refinement levels, got {len(J_list)}")
     if any(b <= a for a, b in zip(J_list, J_list[1:])):
         raise ValueError(f"J values must be strictly increasing, got {J_list}")
-    if reference is None:
-        if problem not in REFERENCE_VALUES:
-            raise ValueError(f"no reference value known for problem {problem!r}")
-        reference = REFERENCE_VALUES[problem]
-    coeffs = catalog(problem)
 
     def level(J: int) -> ConvergenceRow:
         t0 = time.perf_counter()
@@ -353,5 +340,5 @@ def convergence_study(problem: str, mesh_kind: str, J_list,
         slope = float(-np.polyfit(xs, ys, 1)[0])
     else:
         slope = float("nan")
-    return ConvergenceStudy(problem, mesh_kind, float(reference), mass,
+    return ConvergenceStudy(coeffs.label, mesh_kind, float(reference), mass,
                             out_rows, slope)

@@ -12,7 +12,6 @@ the map x -> D^{-1/2} x.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -41,8 +40,6 @@ class ElementGeometry:
         d-dimensional measure.
     diameter : float
         Longest edge.
-    jacobian : (d, d) array
-        Edge matrix with columns v_i - v_0, i = 1..d.
     grad_basis : (d+1, d) array
         Constant gradients of the barycentric (hat) basis functions.
     inner_normals : (d+1, d) array
@@ -55,7 +52,6 @@ class ElementGeometry:
 
     volume: float | np.ndarray
     diameter: float | np.ndarray
-    jacobian: np.ndarray
     grad_basis: np.ndarray
     inner_normals: np.ndarray
     altitudes_euclid: np.ndarray
@@ -90,18 +86,9 @@ def simplex_geometry(X: np.ndarray) -> ElementGeometry:
     normals = -grads / norms[..., None]
     diameter = simplex_diameters(X)
 
-    for arr in (V, grads, normals, altitudes):
+    for arr in (grads, normals, altitudes):
         arr.setflags(write=False)
-    return ElementGeometry(volume, diameter, V, grads, normals, altitudes)
-
-
-def element_geometry(X: np.ndarray) -> ElementGeometry:
-    """Geometry of the simplex with vertex rows X ((d+1, d), positive orientation)."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise MeshError(f"expected one simplex, got vertex array of shape {X.shape}")
-    g = simplex_geometry(X)
-    return dataclasses.replace(g, volume=float(g.volume), diameter=float(g.diameter))
+    return ElementGeometry(volume, diameter, grads, normals, altitudes)
 
 
 def check_spd(D: np.ndarray, what: str = "diffusion matrix") -> np.ndarray:
@@ -155,20 +142,6 @@ def min_cosine(C: np.ndarray) -> np.ndarray:
     return C[..., j, k].min(axis=-1)
 
 
-def metric_dihedral_angle(geom: ElementGeometry, D: np.ndarray, j: int, k: int) -> float:
-    """Angle between faces j and k of the simplex in the D^{-1} geometry."""
-    d = geom.grad_basis.shape[1]
-    if not (0 <= j <= d and 0 <= k <= d) or j == k:
-        raise ValueError(f"face indices must be distinct and in 0..{d}")
-    C = metric_angle_cosines(geom, D)
-    return float(angle_from_cos(C[j, k]))
-
-
-def max_metric_angle(geom: ElementGeometry, D: np.ndarray) -> float:
-    """Largest dihedral angle of the element in the D^{-1} geometry."""
-    return float(angle_from_cos(min_cosine(metric_angle_cosines(geom, D))))
-
-
 def metric_altitudes(geom: ElementGeometry, D: np.ndarray) -> np.ndarray:
     """Altitudes of the element in the D^{-1} geometry.
 
@@ -180,17 +153,6 @@ def metric_altitudes(geom: ElementGeometry, D: np.ndarray) -> np.ndarray:
     Q = geom.inner_normals
     stretch = np.sqrt(np.einsum("...jd,...de,...je->...j", Q, D, Q))
     return geom.altitudes_euclid / stretch
-
-
-def stiffness_kernel(geom: ElementGeometry, D: np.ndarray, j: int, k: int) -> float:
-    """grad(phi_j)' D grad(phi_k) for the hat functions of the element.
-
-    For j != k this equals -cos(angle_jk) / (alt_j * alt_k) with the metric
-    angle and metric altitudes, which is the identity the certification
-    bounds are built on.
-    """
-    g = geom.grad_basis
-    return float(g[j] @ np.asarray(D, dtype=np.float64) @ g[k])
 
 
 # ---------------------------------------------------------------------------
@@ -225,18 +187,6 @@ def quadrature_barycentric(dim: int) -> tuple[np.ndarray, np.ndarray]:
     if dim == 3:
         return _BARY_3D, np.full(4, 0.25)
     raise ValueError(f"no quadrature rule for dimension {dim}")
-
-
-def quadrature_points(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Physical quadrature nodes and weights for the simplex with vertices X.
-
-    Weights include the element volume, so sum(w * f(nodes)) approximates
-    the integral of f over the element and is exact for quadratics.  X may
-    be a batch (..., d+1, d); nodes are then (..., q, d) and weights (..., q).
-    """
-    X = np.asarray(X, dtype=np.float64)
-    bary, w = quadrature_barycentric(X.shape[-1])
-    return bary @ X, w * np.expand_dims(simplex_geometry(X).volume, -1)
 
 
 def quadrature_average(w: np.ndarray, F: np.ndarray) -> np.ndarray:

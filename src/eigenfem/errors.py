@@ -13,9 +13,5 @@ class SingularMatrixError(RuntimeError):
     """Factorization hit a zero or numerically negligible pivot."""
 
 
-class NumericalFailureError(RuntimeError):
-    """A dense kernel (QR iteration, Schur) failed to converge."""
-
-
 class EigenSolveError(RuntimeError):
     """The iterative eigensolver could not produce a usable eigenpair."""

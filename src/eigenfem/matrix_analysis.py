@@ -35,68 +35,42 @@ def _as_csr(A) -> csr_matrix:
     return M
 
 
-@dataclass(frozen=True)
-class ZMatrixReport:
-    passed: bool
-    scale: float
-    violation: tuple[int, int, float] | None
-
-
-def z_matrix_check(A) -> ZMatrixReport:
-    """Check for the Z-matrix sign pattern.
+def _z_violation(M: csr_matrix) -> tuple[int, int, float] | None:
+    """First entry in row-major order that breaks the Z-matrix sign pattern.
 
     Off-diagonal entries must be <= 0 and diagonal entries >= 0, up to a
     relative tolerance of 1e-14 times the largest magnitude entry (exact
-    zeros from cancellation are accepted).  Returns the first violating
-    entry in row-major order, if any.
+    zeros from cancellation are accepted).
     """
-    return _z_matrix(_as_csr(A))
-
-
-def _z_matrix(M: csr_matrix) -> ZMatrixReport:
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
-    scale = float(np.abs(M.data).max()) if M.nnz else 0.0
-    tol = ZERO_REL_TOL * scale
+    tol = ZERO_REL_TOL * (float(np.abs(M.data).max()) if M.nnz else 0.0)
     rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
     bad = np.flatnonzero(np.where(rows == M.indices, M.data < -tol, M.data > tol))
     if bad.size == 0:
-        return ZMatrixReport(True, scale, None)
+        return None
     # canonical CSR stores entries in row-major order
     p = bad[0]
-    return ZMatrixReport(False, scale, (int(rows[p]), int(M.indices[p]), float(M.data[p])))
+    return int(rows[p]), int(M.indices[p]), float(M.data[p])
 
 
-@dataclass(frozen=True)
-class IrreducibilityReport:
-    irreducible: bool
-    n_components: int
-
-
-def irreducibility(A) -> IrreducibilityReport:
-    """Irreducibility of the sparsity pattern via strongly connected components.
+def _strong_components(M: csr_matrix) -> int:
+    """Strongly connected components of the sparsity pattern.
 
     The directed graph has an arc i -> j whenever |a_ij| exceeds the zero
-    tolerance; the matrix is irreducible iff the graph is one strongly
-    connected component.  A 1x1 matrix is irreducible by convention.
+    tolerance; the matrix is irreducible iff this is 1.  A 1x1 matrix is
+    irreducible by convention.
     """
-    return _irreducibility(_as_csr(A))
-
-
-def _irreducibility(M: csr_matrix) -> IrreducibilityReport:
-    n = M.shape[0]
-    if n == 1:
-        return IrreducibilityReport(True, 1)
-    scale = float(np.abs(M.data).max()) if M.nnz else 0.0
-    tol = ZERO_REL_TOL * scale
+    if M.shape[0] == 1:
+        return 1
+    tol = ZERO_REL_TOL * (float(np.abs(M.data).max()) if M.nnz else 0.0)
     mask = np.abs(M.data) > tol
     # Copy the index arrays: eliminate_zeros() edits them in place and the
     # constructor would otherwise alias M's structure.
     pattern = csr_matrix((mask.astype(np.int8), M.indices.copy(), M.indptr.copy()),
                          shape=M.shape)
     pattern.eliminate_zeros()
-    n_comp, _ = connected_components(pattern, directed=True, connection="strong")
-    return IrreducibilityReport(n_comp == 1, int(n_comp))
+    return int(connected_components(pattern, directed=True, connection="strong")[0])
 
 
 def _semipositive(M: csr_matrix, factors: LUFactors | None) -> bool:
@@ -146,14 +120,14 @@ def m_matrix_certificate(A, factors: LUFactors | None = None) -> MatrixCertifica
     separately so that a reducible M-matrix is still recognized as such.
     """
     M = _as_csr(A)
-    z = _z_matrix(M)
-    irr = _irreducibility(M)
-    semipositive = _semipositive(M, factors) if z.passed else None
+    violation = _z_violation(M)
+    n_components = _strong_components(M)
+    semipositive = _semipositive(M, factors) if violation is None else None
     return MatrixCertificate(
-        is_z_matrix=z.passed,
-        z_violation=z.violation,
-        is_irreducible=irr.irreducible,
-        n_strong_components=irr.n_components,
+        is_z_matrix=violation is None,
+        z_violation=violation,
+        is_irreducible=n_components == 1,
+        n_strong_components=n_components,
         semipositive=semipositive,
         is_m_matrix=bool(semipositive),
         method="Z-matrix sign pattern + semipositivity (x = A^-1 1 > 0, A x > 0)",

@@ -8,7 +8,6 @@ mesh carries a dense numbering of its interior vertices in ``interior_index``.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -252,13 +251,6 @@ def mesh_edges(mesh: SimplicialMesh) -> MeshEdges:
     return MeshEdges(pairs[order[starts[:-1]]], starts, elem[order])
 
 
-def edge_patches(mesh: SimplicialMesh) -> dict[tuple[int, int], list[int]]:
-    """Map each mesh edge (sorted vertex pair) to the elements containing it."""
-    e = mesh_edges(mesh)
-    groups = np.split(e.elements, e.offsets[1:-1])
-    return {(a, b): g.tolist() for (a, b), g in zip(e.vertices.tolist(), groups)}
-
-
 @dataclass(frozen=True)
 class InteriorConnectivity:
     """Connectivity of the graph of interior vertices joined by mesh edges."""
@@ -405,37 +397,6 @@ def export_triangle(mesh: SimplicialMesh) -> tuple[str, str]:
         out.append(f"{k + 1} {a + 1} {b + 1} {c + 1}")
     ele_text = "\n".join(out) + "\n"
     return node_text, ele_text
-
-
-# ---------------------------------------------------------------------------
-# JSON round-trip (works in 2D and 3D)
-# ---------------------------------------------------------------------------
-
-def mesh_to_json(mesh: SimplicialMesh) -> str:
-    payload = {
-        "dim": mesh.dim,
-        "vertices": mesh.vertices.tolist(),
-        "elements": mesh.elements.tolist(),
-        "boundary": [int(b) for b in mesh.boundary],
-    }
-    return json.dumps(payload)
-
-
-def mesh_from_json(text: str) -> SimplicialMesh:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MeshError(f"invalid mesh JSON: {exc}") from exc
-    for key in ("dim", "vertices", "elements", "boundary"):
-        if key not in payload:
-            raise MeshError(f"mesh JSON is missing field {key!r}")
-    return SimplicialMesh.from_arrays(
-        payload["dim"],
-        np.asarray(payload["vertices"], dtype=np.float64),
-        np.asarray(payload["elements"], dtype=np.int64),
-        np.asarray(payload["boundary"], dtype=bool),
-        label="imported-json",
-    )
 
 
 def mesh_spacing(mesh: SimplicialMesh) -> float:

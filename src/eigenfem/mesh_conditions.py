@@ -26,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import ElementTable, ProblemCoefficients, element_table
-from .element_geometry import (ANGLE_CLAMP, angle_from_cos, check_spd,
-                               metric_altitudes, min_cosine, quadrature_average,
-                               quadrature_points)
+from .element_geometry import (ANGLE_CLAMP, angle_from_cos, metric_altitudes,
+                               min_cosine)
 from .mesh import MeshEdges, SimplicialMesh, interior_connectivity, mesh_edges
 
 # Slack used when comparing assembled entries against their analytic bounds.
@@ -134,11 +133,6 @@ def _nonobtuse(mesh: SimplicialMesh, t: ElementTable) -> NonobtuseReport:
                            bool(weak.all()), bool(strict.all()))
 
 
-def check_nonobtuse(mesh: SimplicialMesh, coeffs: ProblemCoefficients) -> NonobtuseReport:
-    """Evaluate the metric nonobtuse angle condition for every element."""
-    return _nonobtuse(mesh, element_table(mesh, coeffs))
-
-
 def _local(mesh: SimplicialMesh, K: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Position of vertex v[i] in the vertex list of element K[i]."""
     return np.argmax(mesh.elements[K] == v[:, None], axis=1)
@@ -174,8 +168,6 @@ def _delaunay_lhs(aK, cotK, detK, aKp, cotKp, detKp, theta):
 
 
 def _delaunay(mesh: SimplicialMesh, t: ElementTable, edges: MeshEdges) -> DelaunayReport:
-    if mesh.dim != 2:
-        raise NotImplementedError("the Delaunay-type condition is 2D only")
     d = 2
     internal, K, Kp, cK, cKp = _internal_edges(mesh, t, edges)
     aK, aKp = angle_from_cos(cK), angle_from_cos(cKp)
@@ -190,11 +182,6 @@ def _delaunay(mesh: SimplicialMesh, t: ElementTable, edges: MeshEdges) -> Delaun
     return DelaunayReport(edges.vertices[internal], np.column_stack([K, Kp]), lhs, theta,
                           lhs_free, weak, strict, float(lhs_free.max(initial=0.0)),
                           bool(weak.all()), bool(strict.all()))
-
-
-def check_delaunay_type(mesh: SimplicialMesh, coeffs: ProblemCoefficients) -> DelaunayReport:
-    """Evaluate the Delaunay-type condition on every internal edge (2D)."""
-    return _delaunay(mesh, element_table(mesh, coeffs), mesh_edges(mesh))
 
 
 def evaluate_conditions(mesh: SimplicialMesh, coeffs: ProblemCoefficients, *,
@@ -282,52 +269,3 @@ def entry_bound_report(mesh: SimplicialMesh, coeffs: ProblemCoefficients,
     violated = a_max > gen + BOUND_SLACK * np.maximum(1.0, np.abs(gen))
     violated |= a_max > b2 + BOUND_SLACK * np.maximum(1.0, np.abs(b2))
     return EntryBoundReport(edges.vertices[inner], a_jk, a_kj, gen, b2, violated)
-
-
-# ---------------------------------------------------------------------------
-# M-uniformity measures
-# ---------------------------------------------------------------------------
-
-_REF_SIMPLEX_2D = np.array([[1.0, 0.5], [0.0, math.sqrt(3.0) / 2.0]])
-_REF_SIMPLEX_3D = np.array([
-    [1.0, 0.5, 0.5],
-    [0.0, math.sqrt(3.0) / 2.0, math.sqrt(3.0) / 6.0],
-    [0.0, 0.0, math.sqrt(6.0) / 3.0],
-])
-
-
-@dataclass(frozen=True)
-class MUniformity:
-    equidistribution_per_K: np.ndarray
-    alignment_per_K: np.ndarray
-
-
-def m_uniformity(mesh: SimplicialMesh, metric) -> MUniformity:
-    """Equidistribution and alignment scores of a mesh under a metric field.
-
-    The reference element is the unit-edge equilateral simplex, so a_K = 1
-    exactly when the element is equilateral in the metric; e_K = 1 when
-    metric volume is equidistributed.  Both are ideal at 1 and a_K >= 1
-    always (arithmetic-geometric mean inequality on the eigenvalues of the
-    transformed metric).  metric(x) receives one point (d,) per call.
-    """
-    d = mesh.dim
-    ref = _REF_SIMPLEX_2D if d == 2 else _REF_SIMPLEX_3D
-    N = mesh.n_elements
-
-    X = mesh.vertices[mesh.elements]
-    pts, w = quadrature_points(X)
-    vols = w.sum(axis=-1)
-    Mq = check_spd(np.array([metric(p) for p in pts.reshape(-1, d)]).reshape(pts.shape + (d,)),
-                   "metric tensor")
-    M_K = quadrature_average(w, Mq)
-
-    sqrt_dets = np.sqrt(np.linalg.det(M_K))
-    sigma_h = float(np.sum(vols * sqrt_dets))
-    e_K = vols * sqrt_dets * N / sigma_h
-
-    V = np.swapaxes(X[:, 1:] - X[:, :1], 1, 2)
-    F = V @ np.linalg.inv(ref)
-    Jm = np.swapaxes(F, 1, 2) @ M_K @ F
-    a_K = np.trace(Jm, axis1=1, axis2=2) / (d * np.linalg.det(Jm) ** (1.0 / d))
-    return MUniformity(e_K, a_K)

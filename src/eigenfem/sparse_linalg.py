@@ -20,8 +20,6 @@ from .errors import SingularMatrixError
 # A pivot this small relative to the largest pivot is treated as singular.
 PIVOT_REL_TOL = 1e-12
 
-SparseMatrix = csr_matrix
-
 
 def build_csr(n_rows: int, n_cols: int, rows, cols, vals) -> csr_matrix:
     """Assemble COO triplets into canonical CSR, summing duplicates."""
@@ -35,13 +33,6 @@ def build_csr(n_rows: int, n_cols: int, rows, cols, vals) -> csr_matrix:
     A.sum_duplicates()
     A.sort_indices()
     return A
-
-
-def validate_csr(A: csr_matrix) -> None:
-    """Assert the canonical-form invariants of a CSR matrix."""
-    A.check_format(full_check=True)
-    if not A.has_canonical_format:
-        raise ValueError("CSR matrix has duplicate or unsorted entries")
 
 
 @dataclass(frozen=True)
@@ -88,26 +79,8 @@ def lu_factor(A) -> LUFactors:
 
 
 def solve(factors: LUFactors, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b with precomputed factors (real or complex b)."""
+    """Solve A x = b for a real right-hand side with precomputed factors."""
     b = np.asarray(b)
     if b.shape[0] != factors.n:
         raise ValueError("right-hand side has wrong length")
-    if np.iscomplexobj(b):
-        return factors._handle.solve(b.real.astype(np.float64)) \
-            + 1j * factors._handle.solve(b.imag.astype(np.float64))
     return factors._handle.solve(b.astype(np.float64))
-
-
-def save_matrix_market(A, path) -> None:
-    import scipy.io  # imported here: no CLI path needs it
-
-    scipy.io.mmwrite(str(path), csr_matrix(A))
-
-
-def load_matrix_market(path) -> csr_matrix:
-    import scipy.io
-
-    A = csr_matrix(scipy.io.mmread(str(path)))
-    A.sum_duplicates()
-    A.sort_indices()
-    return A

@@ -38,8 +38,11 @@ import numpy as np
 import scipy.linalg
 
 from eigenfem.element_geometry import quadrature_barycentric
-from eigenfem.errors import (MeshError, NumericalFailureError,
-                             SingularMatrixError)
+from eigenfem.errors import MeshError, SingularMatrixError
+
+
+class NumericalFailureError(RuntimeError):
+    """A dense kernel (QR iteration, Schur) failed to converge."""
 
 
 def dense_generalized_eigs(A, B, k: int | None = None) -> np.ndarray:
@@ -426,8 +429,8 @@ def loop_parse_ele(text: str, base: int) -> np.ndarray:
     return elems
 
 
-def loop_z_matrix_check(A) -> tuple[bool, float, tuple | None]:
-    """(passed, scale, first violation) of the Z-matrix sign check.
+def loop_z_matrix_check(A) -> tuple[bool, tuple | None]:
+    """(passed, first violation) of the Z-matrix sign check.
 
     A is canonical CSR (sorted indices, no duplicates); the loop visits its
     entries in row-major order and stops at the first diagonal entry below
@@ -441,8 +444,8 @@ def loop_z_matrix_check(A) -> tuple[bool, float, tuple | None]:
             j = int(indices[p])
             v = float(data[p])
             if (v < -tol) if i == j else (v > tol):
-                return False, scale, (i, j, v)
-    return True, scale, None
+                return False, (i, j, v)
+    return True, None
 
 
 def dense_m_matrix_oracle(A) -> bool:

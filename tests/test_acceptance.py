@@ -17,8 +17,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from eigenfem import (CATALOG_NAMES, assemble, catalog, coefficients_from_json,
-                      convergence_study, evaluate_conditions,
+from eigenfem import (CATALOG_NAMES, REFERENCE_VALUES, assemble, catalog,
+                      coefficients_from_json, convergence_study, evaluate_conditions,
                       generate_structured, import_mesh,
                       export_triangle, lu_factor, m_matrix_certificate,
                       property_suite, solve_smallest, SimplicialMesh)
@@ -81,10 +81,14 @@ def ex5_2_mesh45():
     return out
 
 
+def _study(name, kind, J_list):
+    return convergence_study(catalog(name), kind, J_list, REFERENCE_VALUES[name])
+
+
 def test_criterion_1_laplace_anchor(capsys):
     with criterion(capsys, 1) as rec:
         t0 = time.perf_counter()
-        study = convergence_study("laplace", "mesh45", [11, 21, 41, 81])
+        study = _study("laplace", "mesh45", [11, 21, 41, 81])
         elapsed = time.perf_counter() - t0
         lam = study.rows[-1].lambda1
         rec.check(abs(study.slope - 2.0) <= 0.2,
@@ -97,8 +101,8 @@ def test_criterion_1_laplace_anchor(capsys):
 def test_criterion_2_anisotropic_reproduction(capsys):
     with criterion(capsys, 2) as rec:
         t0 = time.perf_counter()
-        s45 = convergence_study("ex5_1", "mesh45", [11, 21, 41, 81])
-        s135 = convergence_study("ex5_1", "mesh135", [11, 21, 41, 81])
+        s45 = _study("ex5_1", "mesh45", [11, 21, 41, 81])
+        s135 = _study("ex5_1", "mesh135", [11, 21, 41, 81])
         elapsed = time.perf_counter() - t0
 
         rec.check(abs(s45.slope - 2.0) <= 0.3,
@@ -168,7 +172,7 @@ def test_criterion_4_convection_spectrum(capsys, ex5_2_mesh45):
             rec.check(bool(props.re_at_least_lambda1),
                       f"J={J} some Re(lambda) below lambda_1")
 
-        study = convergence_study("ex5_2", "mesh45", [21, 41, 81, 161])
+        study = _study("ex5_2", "mesh45", [21, 41, 81, 161])
         rec.check(abs(study.slope - 2.0) <= 0.3,
                   f"order {study.slope:.3f} outside 2.0 +/- 0.3")
         lam1 = ex5_2_mesh45[81][3].eigenvalues[0].real

@@ -304,6 +304,27 @@ def test_converge_bad_J_list(tmp_path):
     assert code == 1
 
 
+def test_converge_json_problem(tmp_path, capsys):
+    # a JSON problem runs the same study as its catalog twin; it has no
+    # catalog reference value, so --ref is required
+    path = tmp_path / "lap.json"
+    path.write_text(json.dumps({"diffusion": [[1.0, 0.0], [0.0, 1.0]],
+                                "convection": [0.0, 0.0], "reaction": 0.0}))
+    argv = ["converge", "--mesh", "mesh45", "--J", "5,9,17"]
+    assert run(argv + ["--problem", "laplace", "--out", str(tmp_path / "cat")]) == 0
+    assert run(argv + ["--problem", str(path), "--ref", "19.7392088",
+                       "--out", str(tmp_path / "json")]) == 0
+
+    def columns(out):
+        lines = (tmp_path / out / "convergence.csv").read_text().splitlines()[2:]
+        return [line.split(",")[:4] for line in lines]   # J, n, h, lambda_1
+
+    assert columns("json") == columns("cat")
+    capsys.readouterr()
+    assert run(argv + ["--problem", str(path), "--out", str(tmp_path / "noref")]) == 1
+    assert "pass --ref" in capsys.readouterr().err
+
+
 def test_import_mesh_path(tmp_path):
     m = generate_structured("mesh45", 9)
     node_text, ele_text = export_triangle(m)
@@ -356,7 +377,7 @@ def test_non_finite_coefficient_exit_one(tmp_path, capsys, command, field, value
     assert "finite" in capsys.readouterr().err
 
 
-def test_solver_failure_exit_four(tmp_path, monkeypatch):
+def test_solver_failure_exit_four(tmp_path, monkeypatch, capsys):
     # force a solver failure by patching solve_smallest to raise
     import eigenfem.cli as cli_mod
     from eigenfem import EigenSolveError
@@ -368,6 +389,7 @@ def test_solver_failure_exit_four(tmp_path, monkeypatch):
     code = run(["solve", "--problem", "laplace", "--mesh", "mesh45",
                 "--J", "5", "--out", str(tmp_path)])
     assert code == 4
+    assert capsys.readouterr().err == "solver failure: synthetic failure\n"
 
 
 def test_solve_partial_convergence_exit_four(tmp_path, monkeypatch, capsys):

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from eigenfem import (CATALOG_NAMES, REFERENCE_VALUES, CoefficientError,
-                      ProblemCoefficients, catalog, check_assumptions,
-                      coefficients_from_json, element_stats, element_table,
-                      generate_structured)
+                      ProblemCoefficients, catalog, coefficients_from_json,
+                      element_table, evaluate_conditions, generate_structured)
 
 
 def test_catalog_names_complete():
@@ -36,19 +35,17 @@ def test_reference_values():
 
 
 def test_constant_diffusion_eigen_range():
-    m = generate_structured("mesh45", 3)
-    st = element_stats(catalog("ex5_1"), m, 0)
+    t = element_table(generate_structured("mesh45", 3), catalog("ex5_1"))
     # D = [[10, 9], [9, 10]] has eigenvalues 1 and 19
-    assert abs(st.lambda_min_DK - 1.0) <= 1e-12
-    assert abs(st.lambda_max_DK - 19.0) <= 1e-12
-    assert st.b_sup == 0.0 and st.c_sup == 0.0
+    assert abs(t.lambda_min_DK[0] - 1.0) <= 1e-12
+    assert abs(t.lambda_max_DK[0] - 19.0) <= 1e-12
+    assert t.b_sup[0] == 0.0 and t.c_sup[0] == 0.0
 
 
 def test_ex5_2_convection_sup():
-    m = generate_structured("mesh45", 3)
-    st = element_stats(catalog("ex5_2"), m, 0)
-    assert abs(st.b_sup - 50.0 * math.sqrt(2.0)) <= 1e-12
-    assert abs(st.c_sup - 1.0) <= 1e-12
+    t = element_table(generate_structured("mesh45", 3), catalog("ex5_2"))
+    assert abs(t.b_sup[0] - 50.0 * math.sqrt(2.0)) <= 1e-12
+    assert abs(t.c_sup[0] - 1.0) <= 1e-12
 
 
 def test_ex5_3_divergence_free():
@@ -87,23 +84,37 @@ def test_ex5_5_eigenvalue_invariants():
 
 
 def test_assumptions_hold_on_grid():
-    # SPD diffusion and c - div(b)/2 >= 0 across the domain for every
-    # catalog problem; check_assumptions raises on the first violation
-    pts = np.array([[x, y] for x in np.linspace(0, 1, 11)
-                    for y in np.linspace(0, 1, 11)])
+    # SPD diffusion and c - div(b)/2 >= 0 at every quadrature node for every
+    # catalog problem; element_table raises on the first violation
     for name in CATALOG_NAMES:
-        check_assumptions(catalog(name), pts)
+        for kind in ("mesh45", "mesh135"):
+            element_table(generate_structured(kind, 11), catalog(name))
 
 
 def test_assumptions_reject_bad_reaction():
+    # c - div(b)/2 < 0 through a negative c, then through a positive div b
     c = coefficients_from_json('{"diffusion": [[1.0, 0.0], [0.0, 1.0]], '
                                '"convection": [0, 0], "reaction": 0.0}')
-    bad = type(c)(label="bad", dim=2, diffusion=c.diffusion,
-                  convection=c.convection, reaction=lambda x: -1.0,
-                  convection_divergence=c.convection_divergence,
-                  convection_is_zero=True)
-    with pytest.raises(CoefficientError):
-        check_assumptions(bad, np.array([[0.5, 0.5]]))
+    for reaction, divergence in ((-1.0, 0.0), (0.0, 1.0)):
+        bad = type(c)(label="bad", dim=2, diffusion=c.diffusion,
+                      convection=c.convection, reaction=lambda x: reaction,
+                      convection_divergence=lambda x: divergence,
+                      convection_is_zero=True)
+        with pytest.raises(CoefficientError, match=r"c - 0\.5 div b = -"):
+            element_table(generate_structured("mesh45", 3), bad)
+
+
+@pytest.mark.parametrize("J", [41, 81])
+def test_negative_reaction_rejected_before_mesh_conditions(J):
+    # ex5_1 with c = -2000: the mesh conditions, which read only |c|, pass
+    # strictly on mesh45 although A is not an M-matrix, so the problem must
+    # be refused before any condition is evaluated
+    D = np.array([[10.0, 9.0], [9.0, 10.0]])
+    bad = ProblemCoefficients(label="ex5_1-negative-c", dim=2, diffusion=lambda x: D,
+                              convection=lambda x: np.zeros(2), reaction=lambda x: -2000.0,
+                              convection_divergence=lambda x: 0.0, convection_is_zero=True)
+    with pytest.raises(CoefficientError, match="c - 0.5 div b"):
+        evaluate_conditions(generate_structured("mesh45", J), bad)
 
 
 def test_element_stats_quadrature_average():
@@ -111,10 +122,10 @@ def test_element_stats_quadrature_average():
     # value but stays within the elementwise min/max of the sampled entries
     m = generate_structured("mesh45", 5)
     c = catalog("ex5_4")
-    st = element_stats(c, m, 7)
+    D_K = element_table(m, c).D_K[7]
     X = m.vertices[m.elements[7]]
     vals = np.array([c.diffusion(x)[0, 0] for x in X])
-    assert vals.min() - 1e-9 <= st.D_K[0, 0] <= vals.max() + 1e-9
+    assert vals.min() - 1e-9 <= D_K[0, 0] <= vals.max() + 1e-9
 
 
 def test_symmetry_flags():
@@ -187,16 +198,15 @@ def test_constant_non_spd_diffusion_rejected(D):
     mesh = generate_structured("mesh45", 5)
     with pytest.raises(CoefficientError):
         element_table(mesh, bad)
-    with pytest.raises(CoefficientError):
-        check_assumptions(bad, mesh.vertices)
 
 
 def test_singular_diffusion_rejected_by_check_assumptions():
     # a scalar 2.0 broadcasts to the singular [[2, 2], [2, 2]], whose last
-    # Cholesky pivot rounds to eps * 2 instead of 0
+    # Cholesky pivot rounds to eps * 2 instead of 0; element_table's SPD
+    # check, which took over from check_assumptions, rejects it
     bad = _with_diffusion(lambda x: 2.0)
     with pytest.raises(CoefficientError, match="not positive definite"):
-        check_assumptions(bad, generate_structured("mesh45", 5).vertices)
+        element_table(generate_structured("mesh45", 5), bad)
 
 
 @pytest.mark.parametrize("q", [0, 1, 2])
@@ -217,9 +227,6 @@ def test_diffusion_indefinite_at_one_node_rejected(q):
     bad = _with_diffusion(diffusion)
     with pytest.raises(CoefficientError):
         element_table(mesh, bad)
-    with pytest.raises(CoefficientError):
-        check_assumptions(bad, flat)
-    check_assumptions(bad, np.delete(flat, max(unique) * 3 + q, axis=0))
 
 
 @pytest.mark.parametrize("value, error", [

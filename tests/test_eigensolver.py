@@ -9,8 +9,8 @@ import scipy.sparse
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import eigenfem.eigensolver
-from eigenfem import (EigenSolveError, SimplicialMesh, assemble, catalog,
-                      convergence_study, generate_structured,
+from eigenfem import (REFERENCE_VALUES, EigenSolveError, SimplicialMesh, assemble,
+                      catalog, convergence_study, generate_structured,
                       m_matrix_certificate, property_suite, solve_smallest)
 
 from oracles import dense_generalized_eigs
@@ -187,7 +187,9 @@ def test_property_gap_undefined_with_one_pair():
 
 
 def test_convergence_study_second_order():
-    study = convergence_study("laplace", "mesh45", [11, 21, 41])
+    study = convergence_study(catalog("laplace"), "mesh45", [11, 21, 41],
+                              REFERENCE_VALUES["laplace"])
+    assert study.problem == "laplace"
     assert abs(study.reference - 2 * math.pi ** 2) <= 1e-12
     assert 1.8 <= study.slope <= 2.3
     errs = [r.error for r in study.rows]
@@ -200,22 +202,21 @@ def test_convergence_study_second_order():
 
 def test_convergence_study_validates_input():
     with pytest.raises(ValueError):
-        convergence_study("laplace", "mesh45", [11, 21])
+        convergence_study(catalog("laplace"), "mesh45", [11, 21], 1.0)
     with pytest.raises(ValueError):
-        convergence_study("laplace", "mesh45", [21, 11, 41])
+        convergence_study(catalog("laplace"), "mesh45", [21, 11, 41], 1.0)
 
 
 def test_krylov_dimension_validated_up_front():
     _, s = system_for("laplace", "mesh45", 21)   # n = 361
     with pytest.raises(ValueError):
         solve_smallest(s, k=0)
-    for k, m in ((10, 10), (10, 11), (2, 3)):    # ARPACK needs k + 1 < ncv
-        with pytest.raises(ValueError):
-            solve_smallest(s, k=k, max_krylov=m)
+    # ncv = min(max(2k + 1, 20), n) always exceeds ARPACK's bound k + 1
+    assert solve_smallest(s, k=1).krylov_dim == 20
     # implicit restarts lift the old cap of 200 on the Krylov dimension
     sol = solve_smallest(s, k=200)
     assert len(sol.eigenvalues) == 200
-    assert sol.k_converged == 200
+    assert sol.k_converged == 200 and sol.krylov_dim == s.n
     # on a small pencil (k >= n - 1) dense QZ gives every pair
     _, small = system_for("laplace", "mesh45", 5)  # n = 9
     sol = solve_smallest(small, k=9)

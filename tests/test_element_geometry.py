@@ -5,19 +5,23 @@ import math
 import numpy as np
 import pytest
 
-from eigenfem import (CoefficientError, element_geometry, max_metric_angle,
-                      metric_altitudes, metric_angle_cosines,
-                      metric_dihedral_angle, quadrature_barycentric,
-                      stiffness_kernel)
-from eigenfem.element_geometry import check_spd
+from eigenfem import (CoefficientError, metric_altitudes, metric_angle_cosines,
+                      quadrature_barycentric)
+from eigenfem.element_geometry import (angle_from_cos, check_spd, min_cosine,
+                                       simplex_geometry)
 
 from oracles import hat_function, integrate_on_triangle
 
 RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
+def metric_angle(g, D, j, k):
+    """Angle between faces j and k of the simplex in the D^{-1} geometry."""
+    return float(angle_from_cos(metric_angle_cosines(g, D)[j, k]))
+
+
 def test_right_triangle_geometry():
-    g = element_geometry(RIGHT)
+    g = simplex_geometry(RIGHT)
     assert abs(g.volume - 0.5) <= 1e-15
     assert abs(g.diameter - math.sqrt(2.0)) <= 1e-15
     # gradients of the three hat functions
@@ -33,7 +37,7 @@ def test_gradient_partition_of_unity():
         V = np.column_stack([X[1] - X[0], X[2] - X[0]])
         if np.linalg.det(V) < 1e-3:
             continue
-        g = element_geometry(X)
+        g = simplex_geometry(X)
         assert np.allclose(g.grad_basis.sum(axis=0), 0.0, atol=1e-12)
 
 
@@ -48,7 +52,7 @@ def test_gradient_altitude_identity():
         V = np.column_stack([X[1] - X[0], X[2] - X[0]])
         if np.linalg.det(V) < 1e-2:
             continue
-        g = element_geometry(X)
+        g = simplex_geometry(X)
         for j in range(3):
             lhs = g.grad_basis[j]
             rhs = -g.inner_normals[j] / g.altitudes_euclid[j]
@@ -56,14 +60,14 @@ def test_gradient_altitude_identity():
 
 
 def test_euclidean_angles_right_triangle():
-    g = element_geometry(RIGHT)
+    g = simplex_geometry(RIGHT)
     I = np.eye(2)
     # the angle at the right-angle vertex is the dihedral between the two
     # legs' opposite faces, i.e. between faces 1 and 2
-    assert abs(metric_dihedral_angle(g, I, 1, 2) - math.pi / 2) <= 1e-12
-    assert abs(metric_dihedral_angle(g, I, 0, 1) - math.pi / 4) <= 1e-12
-    assert abs(metric_dihedral_angle(g, I, 0, 2) - math.pi / 4) <= 1e-12
-    assert abs(max_metric_angle(g, I) - math.pi / 2) <= 1e-12
+    assert abs(metric_angle(g, I, 1, 2) - math.pi / 2) <= 1e-12
+    assert abs(metric_angle(g, I, 0, 1) - math.pi / 4) <= 1e-12
+    assert abs(metric_angle(g, I, 0, 2) - math.pi / 4) <= 1e-12
+    assert abs(angle_from_cos(min_cosine(metric_angle_cosines(g, I))) - math.pi / 2) <= 1e-12
 
 
 def test_angle_sum_is_pi():
@@ -75,11 +79,11 @@ def test_angle_sum_is_pi():
             continue
         if np.linalg.det(V) < 0:
             X = X[[0, 2, 1]]
-        g = element_geometry(X)
+        g = simplex_geometry(X)
         I = np.eye(2)
-        total = (metric_dihedral_angle(g, I, 0, 1)
-                 + metric_dihedral_angle(g, I, 1, 2)
-                 + metric_dihedral_angle(g, I, 0, 2))
+        total = (metric_angle(g, I, 0, 1)
+                 + metric_angle(g, I, 1, 2)
+                 + metric_angle(g, I, 0, 2))
         assert abs(total - math.pi) <= 1e-10
 
 
@@ -88,17 +92,17 @@ def test_metric_angle_invariance():
     rng = np.random.default_rng(6)
     D = np.array([[10.0, 9.0], [9.0, 10.0]])
     X = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]])
-    g = element_geometry(X)
-    base = [metric_dihedral_angle(g, D, j, k)
+    g = simplex_geometry(X)
+    base = [metric_angle(g, D, j, k)
             for j, k in ((0, 1), (1, 2), (0, 2))]
     for _ in range(10):
         th = rng.uniform(0, 2 * math.pi)
         R = np.array([[math.cos(th), -math.sin(th)],
                       [math.sin(th), math.cos(th)]])
         Xr = X @ R.T
-        gr = element_geometry(Xr)
+        gr = simplex_geometry(Xr)
         Dr = R @ D @ R.T
-        rot = [metric_dihedral_angle(gr, Dr, j, k)
+        rot = [metric_angle(gr, Dr, j, k)
                for j, k in ((0, 1), (1, 2), (0, 2))]
         assert np.allclose(base, rot, atol=1e-10)
 
@@ -106,17 +110,17 @@ def test_metric_angle_invariance():
 def test_metric_angle_scaling_invariance():
     D = np.array([[2.0, 0.5], [0.5, 1.0]])
     X = np.array([[0.0, 0.0], [1.0, 0.0], [0.2, 0.7]])
-    g1 = element_geometry(X)
-    g2 = element_geometry(X * 7.5)
+    g1 = simplex_geometry(X)
+    g2 = simplex_geometry(X * 7.5)
     for j, k in ((0, 1), (1, 2), (0, 2)):
-        assert abs(metric_dihedral_angle(g1, D, j, k)
-                   - metric_dihedral_angle(g2, D, j, k)) <= 1e-12
+        assert abs(metric_angle(g1, D, j, k)
+                   - metric_angle(g2, D, j, k)) <= 1e-12
 
 
 def test_laplace_identity_metric_equals_euclidean():
     # with D = I the metric angles are the ordinary Euclidean angles
     X = np.array([[0.0, 0.0], [2.0, 0.0], [0.5, 1.5]])
-    g = element_geometry(X)
+    g = simplex_geometry(X)
     C = metric_angle_cosines(g, np.eye(2))
     e01 = X[1] - X[0]
     e02 = X[2] - X[0]
@@ -135,12 +139,12 @@ def test_stiffness_kernel_identity():
             continue
         W = rng.standard_normal((2, 2))
         D = W @ W.T + 0.5 * np.eye(2)
-        g = element_geometry(X)
+        g = simplex_geometry(X)
         alt = metric_altitudes(g, D)
         C = metric_angle_cosines(g, D)
         for j in range(3):
             for k in range(j + 1, 3):
-                direct = stiffness_kernel(g, D, j, k)
+                direct = g.grad_basis[j] @ D @ g.grad_basis[k]
                 via_angle = -C[j, k] / (alt[j] * alt[k])
                 assert abs(direct - via_angle) <= 1e-10 * max(1.0, abs(direct))
 
@@ -156,7 +160,7 @@ def test_metric_altitude_bounds():
         W = rng.standard_normal((2, 2))
         D = W @ W.T + 0.1 * np.eye(2)
         lam = np.linalg.eigvalsh(D)
-        g = element_geometry(X)
+        g = simplex_geometry(X)
         alt = metric_altitudes(g, D)
         for j in range(3):
             h = g.altitudes_euclid[j]
@@ -167,12 +171,12 @@ def test_metric_altitude_bounds():
 def test_tetrahedron_geometry():
     X = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                   [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    g = element_geometry(X)
+    g = simplex_geometry(X)
     assert abs(g.volume - 1.0 / 6.0) <= 1e-15
     assert np.allclose(g.grad_basis[0], [-1, -1, -1])
     # right-angle corner: the three coordinate faces are pairwise orthogonal
     # in the identity metric; dihedral between faces 1 and 2 is pi/2
-    assert abs(metric_dihedral_angle(g, np.eye(3), 1, 2) - math.pi / 2) <= 1e-12
+    assert abs(metric_angle(g, np.eye(3), 1, 2) - math.pi / 2) <= 1e-12
 
 
 def test_check_spd_rejects():
@@ -197,7 +201,7 @@ def test_quadrature_rule_degree_two():
     # closed form a! b! d! / (a+b+d)! * |K| ... checked against subdivision
     bary, w = quadrature_barycentric(2)
     assert abs(w.sum() - 1.0) <= 1e-15
-    g = element_geometry(RIGHT)
+    g = simplex_geometry(RIGHT)
     pts = bary @ RIGHT
 
     for f in (lambda p: 1.0, lambda p: p[0], lambda p: p[1],
@@ -216,7 +220,7 @@ def test_quadrature_3d_weights():
     # integral is 1/120 on the unit tet (volume 1/6 times 1/20)
     X = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                   [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    g = element_geometry(X)
+    g = simplex_geometry(X)
     val = g.volume * sum(wq * (b[0] * b[1]) for wq, b in zip(w, bary))
     assert abs(val - 1.0 / 120.0) <= 1e-15
 

@@ -13,7 +13,6 @@ from eigenfem import (SimplicialMesh, assemble, catalog, coefficients_from_json,
                       mesh_spacing, metric_angle_cosines, solve_smallest)
 from eigenfem.cli import main
 from eigenfem.element_geometry import simplex_geometry
-from eigenfem.mesh_conditions import check_nonobtuse
 
 from oracles import (broadcast_coefficient_stats, loop_assemble, loop_delaunay,
                      loop_nonobtuse)
@@ -103,7 +102,7 @@ def test_table_matches_loop_oracle_3d():
         '{"diffusion": [[3.0, 1.0, 0.5], [1.0, 2.0, 0.2], [0.5, 0.2, 1.5]], '
         '"convection": [1.0, -2.0, 0.5], "reaction": 0.7}')
     _check_matrices(mesh, coeffs)
-    _check_elements(check_nonobtuse(mesh, coeffs), mesh, coeffs)
+    _check_elements(evaluate_conditions(mesh, coeffs).nonobtuse, mesh, coeffs)
 
 
 def test_table_shapes():
@@ -127,7 +126,7 @@ def test_cosines_computed_on_first_use(monkeypatch, tmp_path):
     monkeypatch.setattr(eigenfem.coefficients, "metric_angle_cosines", counted)
     mesh = generate_structured("mesh45", 9)
     solve_smallest(assemble(mesh, catalog("ex5_3")), k=2)
-    convergence_study("laplace", "mesh45", [5, 9, 17])
+    convergence_study(catalog("laplace"), "mesh45", [5, 9, 17], 2.0 * np.pi ** 2)
     assert main(["solve", "--problem", "ex5_2", "--mesh", "mesh45", "--J", "9",
                  "--k", "3", "--out", str(tmp_path / "solve")]) == 0
     assert calls == []

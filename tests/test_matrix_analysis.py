@@ -6,8 +6,8 @@ import pytest
 from scipy.sparse import block_diag, csr_matrix, diags
 
 from eigenfem import (CATALOG_NAMES, SingularMatrixError, assemble, catalog,
-                      generate_structured, irreducibility, lu_factor,
-                      m_matrix_certificate, solve_smallest, z_matrix_check)
+                      generate_structured, lu_factor, m_matrix_certificate,
+                      solve_smallest)
 
 from oracles import dense_m_matrix_oracle, loop_z_matrix_check, perron_oracle
 
@@ -19,35 +19,33 @@ def laplace_system(J, kind="mesh45"):
 
 def test_z_check_five_point_stencil():
     s = laplace_system(6)
-    rep = z_matrix_check(s.A)
-    assert rep.passed and rep.violation is None
+    cert = m_matrix_certificate(s.A)
+    assert cert.is_z_matrix and cert.z_violation is None
 
 
 def test_z_check_flags_positive_offdiagonal():
     A = csr_matrix(np.array([[2.0, 0.5], [-1.0, 2.0]]))
-    rep = z_matrix_check(A)
-    assert not rep.passed
-    assert rep.violation == (0, 1, 0.5)
+    cert = m_matrix_certificate(A)
+    assert not cert.is_z_matrix
+    assert cert.z_violation == (0, 1, 0.5)
 
 
 def test_z_check_flags_negative_diagonal():
     A = csr_matrix(np.array([[-2.0, -0.5], [-1.0, 2.0]]))
-    rep = z_matrix_check(A)
-    assert not rep.passed
-    assert rep.violation[0] == 0 and rep.violation[1] == 0
+    cert = m_matrix_certificate(A)
+    assert not cert.is_z_matrix
+    assert cert.z_violation[0] == 0 and cert.z_violation[1] == 0
 
 
 def test_z_check_tolerates_roundoff():
     # tiny positive off-diagonals from cancellation are accepted
     A = csr_matrix(np.array([[1.0, 1e-16], [-0.5, 1.0]]))
-    assert z_matrix_check(A).passed
+    assert m_matrix_certificate(A).is_z_matrix
 
 
 def test_z_check_does_not_mutate_input():
     s = laplace_system(5)
     before = s.A.toarray().copy()
-    z_matrix_check(s.A)
-    irreducibility(s.A)
     m_matrix_certificate(s.A)
     assert np.array_equal(s.A.toarray(), before)
 
@@ -55,8 +53,8 @@ def test_z_check_does_not_mutate_input():
 @pytest.mark.parametrize("seed", range(8))
 def test_z_check_matches_loop_oracle(seed):
     # flip the signs of a few seeded entries, and on odd seeds of one
-    # diagonal entry; compare verdict, scale and the first violation in
-    # row-major order with the entry-by-entry loop
+    # diagonal entry; compare verdict and the first violation in row-major
+    # order with the entry-by-entry loop
     rng = np.random.default_rng(seed)
     A = laplace_system(int(rng.integers(5, 12)), ("mesh45", "mesh135")[seed % 2]).A.copy()
     A.data[rng.choice(A.nnz, size=int(rng.integers(0, 4)), replace=False)] *= -1.0
@@ -64,33 +62,33 @@ def test_z_check_matches_loop_oracle(seed):
         diag = A.diagonal()
         diag[int(rng.integers(A.shape[0]))] *= -1.0
         A.setdiag(diag)
-    rep = z_matrix_check(A)
-    assert (rep.passed, rep.scale, rep.violation) == loop_z_matrix_check(A)
-    assert seed % 2 == 0 or not rep.passed
+    cert = m_matrix_certificate(A)
+    assert (cert.is_z_matrix, cert.z_violation) == loop_z_matrix_check(A)
+    assert seed % 2 == 0 or not cert.is_z_matrix
 
 
 def test_irreducibility_stencil():
     s = laplace_system(6)
-    rep = irreducibility(s.A)
-    assert rep.irreducible and rep.n_components == 1
+    cert = m_matrix_certificate(s.A)
+    assert cert.is_irreducible and cert.n_strong_components == 1
 
 
 def test_irreducibility_block_diagonal():
     B1 = np.array([[2.0, -1.0], [-1.0, 2.0]])
     A = block_diag([B1, B1]).tocsr()
-    rep = irreducibility(A)
-    assert not rep.irreducible
-    assert rep.n_components == 2
+    cert = m_matrix_certificate(A)
+    assert not cert.is_irreducible
+    assert cert.n_strong_components == 2
 
 
 def test_irreducibility_one_by_one():
-    assert irreducibility(csr_matrix(np.array([[3.0]]))).irreducible
+    assert m_matrix_certificate(csr_matrix(np.array([[3.0]]))).is_irreducible
 
 
 def test_irreducibility_directed():
     # strictly upper triangular coupling is NOT irreducible (no back arc)
     A = csr_matrix(np.array([[1.0, -1.0], [0.0, 1.0]]))
-    assert not irreducibility(A).irreducible
+    assert not m_matrix_certificate(A).is_irreducible
 
 
 def test_certificate_stieltjes():

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from eigenfem import (MeshError, SimplicialMesh, edge_patches,
-                      export_triangle, generate_structured, import_mesh,
-                      interior_connectivity, load_triangle, mesh_from_json,
-                      mesh_spacing, mesh_to_json)
-from eigenfem.element_geometry import element_geometry
+from eigenfem import (MeshError, SimplicialMesh, export_triangle,
+                      generate_structured, import_mesh, interior_connectivity,
+                      load_triangle, mesh_spacing)
+from eigenfem.element_geometry import simplex_geometry
 from eigenfem.mesh import DUPLICATE_TOL, mesh_edges, parse_ele, parse_node
 
 from oracles import loop_parse_ele, loop_parse_node
@@ -26,7 +25,7 @@ def test_structured_counts():
 def test_structured_volumes_sum_to_one():
     for kind in ("mesh45", "mesh135"):
         m = generate_structured(kind, 7)
-        total = sum(element_geometry(m.vertices[e]).volume for e in m.elements)
+        total = sum(simplex_geometry(m.vertices[e]).volume for e in m.elements)
         assert abs(total - 1.0) <= 1e-12
 
 
@@ -51,10 +50,10 @@ def test_interior_index_layout():
 def test_edge_patches_incidence():
     # every edge of a structured mesh belongs to one element (hull) or two
     m = generate_structured("mesh45", 5)
-    patches = edge_patches(m)
-    counts = {len(v) for v in patches.values()}
+    edges = mesh_edges(m)
+    counts = set(np.diff(edges.offsets).tolist())
     assert counts == {1, 2}
-    n_edges = len(patches)
+    n_edges = len(edges.vertices)
     # Euler: V - E + F = 1 for a triangulated disk (F counts triangles)
     assert m.n_vertices - n_edges + m.n_elements == 1
 
@@ -237,14 +236,6 @@ def test_mesh_spacing():
     m = generate_structured("mesh45", 5)
     # longest edge is the cell diagonal
     assert abs(mesh_spacing(m) - np.sqrt(2.0) / 4.0) <= 1e-14
-
-
-def test_json_roundtrip():
-    m = generate_structured("mesh135", 4)
-    m2 = mesh_from_json(mesh_to_json(m))
-    assert np.array_equal(m.vertices, m2.vertices)
-    assert np.array_equal(m.elements, m2.elements)
-    assert np.array_equal(m.boundary, m2.boundary)
 
 
 def test_triangle_roundtrip(tmp_path):

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from eigenfem import (SimplicialMesh, assemble, catalog, check_delaunay_type,
-                      check_nonobtuse, coefficients_from_json,
+from eigenfem import (SimplicialMesh, assemble, catalog, coefficients_from_json,
                       entry_bound_report, evaluate_conditions,
-                      generate_structured, m_matrix_certificate, m_uniformity)
+                      generate_structured, m_matrix_certificate)
 
 
 def test_laplace_mesh45_exact_values():
@@ -67,11 +66,11 @@ def test_nonobtuse_rhs_shrinks_with_convection():
     # back toward pi/2 as h -> 0; on very coarse meshes the strong
     # convection of ex5_2 dominates entirely (argument > 1, bound NaN)
     c = catalog("ex5_2")
-    rep_dom = check_nonobtuse(generate_structured("mesh45", 5), c)
+    rep_dom = evaluate_conditions(generate_structured("mesh45", 5), c).nonobtuse
     assert np.isnan(rep_dom.rhs_bound).all()
     assert not rep_dom.passed_weak
-    rep_coarse = check_nonobtuse(generate_structured("mesh45", 41), c)
-    rep_fine = check_nonobtuse(generate_structured("mesh45", 81), c)
+    rep_coarse = evaluate_conditions(generate_structured("mesh45", 41), c).nonobtuse
+    rep_fine = evaluate_conditions(generate_structured("mesh45", 81), c).nonobtuse
     b_coarse = rep_coarse.rhs_bound.min()
     b_fine = rep_fine.rhs_bound.min()
     assert b_coarse < b_fine < math.pi / 2
@@ -83,7 +82,7 @@ def test_nonobtuse_dominated_case():
     c = coefficients_from_json(
         '{"label": "dominated", "diffusion": [[1.0, 0.0], [0.0, 1.0]], '
         '"convection": [1000.0, 0.0], "reaction": 0.0}')
-    rep = check_nonobtuse(generate_structured("mesh45", 3), c)
+    rep = evaluate_conditions(generate_structured("mesh45", 3), c).nonobtuse
     assert not rep.passed_weak and not rep.passed_strict
     flagged = np.isnan(rep.rhs_bound)
     assert flagged.any() and not (rep.pass_weak | rep.pass_strict)[flagged].any()
@@ -93,7 +92,7 @@ def test_delaunay_reduces_to_euclidean_for_identity():
     # with D = I, b = 0, c = 0 the Delaunay-type lhs is the classic sum of
     # facing angles (each arccot(cot a) = a)
     m = generate_structured("mesh45", 4)
-    rep = check_delaunay_type(m, catalog("laplace"))
+    rep = evaluate_conditions(m, catalog("laplace")).delaunay
     for (j, k), (K, Kp), lhs in zip(rep.edges.tolist(), rep.elements.tolist(), rep.lhs):
         # recompute facing angles directly from coordinates
         total = 0.0
@@ -116,9 +115,8 @@ def test_delaunay_is_2d_only():
     c3 = coefficients_from_json(
         '{"diffusion": [[1.0,0,0],[0,1.0,0],[0,0,1.0]], '
         '"convection": [0,0,0], "reaction": 0}')
-    with pytest.raises(NotImplementedError):
-        check_delaunay_type(m, c3)
     rep = evaluate_conditions(m, c3)
+    assert rep.delaunay is None and rep.alpha_sum_metric is None
     assert rep.delaunay_weak is None and rep.delaunay_strict is None
 
 
@@ -169,38 +167,3 @@ def test_theorem_chain():
                         f"{name}/{kind}/J={J}: strict mesh pass but matrix "
                         f"certificate failed")
 
-
-def test_m_uniformity_identity_metric():
-    # right isosceles triangles under M = I: alignment is 2/sqrt(3) for
-    # every element and equidistribution is exactly 1 on a uniform grid
-    m = generate_structured("mesh45", 5)
-    mu = m_uniformity(m, lambda x: np.eye(2))
-    assert np.allclose(mu.alignment_per_K, 2.0 / math.sqrt(3.0), atol=1e-12)
-    assert np.allclose(mu.equidistribution_per_K, 1.0, atol=1e-12)
-
-
-def test_m_uniformity_equilateral_is_ideal():
-    # a single equilateral triangle scores a_K = 1 under the identity
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
-    m = SimplicialMesh.from_arrays(2, verts, np.array([[0, 1, 2]]),
-                                   np.ones(3, dtype=bool))
-    mu = m_uniformity(m, lambda x: np.eye(2))
-    assert abs(mu.alignment_per_K[0] - 1.0) <= 1e-12
-    assert abs(mu.equidistribution_per_K[0] - 1.0) <= 1e-12
-
-
-def test_m_uniformity_alignment_at_least_one():
-    # AM-GM: a_K >= 1 for any element and any SPD metric
-    rng = np.random.default_rng(43)
-    m = generate_structured("mesh135", 6)
-
-    def metric(x):
-        th = 0.4 * math.sin(3.0 * x[0] + 1.0)
-        R = np.array([[math.cos(th), -math.sin(th)],
-                      [math.sin(th), math.cos(th)]])
-        return R @ np.diag([4.0 + x[1], 0.5]) @ R.T
-
-    mu = m_uniformity(m, metric)
-    assert np.all(mu.alignment_per_K >= 1.0 - 1e-12)
-    # equidistribution values average to 1 by construction
-    assert abs(mu.equidistribution_per_K.mean() - 1.0) <= 1e-9
