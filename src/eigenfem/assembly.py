@@ -15,7 +15,7 @@ by the degree-2 rule.  Mass entries use the exact closed forms
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -31,19 +31,56 @@ from .sparse_linalg import LUFactors, build_csr, lu_factor
 class AssembledSystem:
     """Immutable interior-vertex system A u = lambda B u.
 
-    A_diffusion is the diffusion-only part of A and effective_reaction the
-    bilinear form of c - (1/2) div b; together they make the Rayleigh
-    functional a pair of quadratic forms instead of an element loop.
+    assemble builds A.  B, B_lumped, A_diffusion and effective_reaction are
+    built on first read from the element table the system keeps, with the
+    expressions and triplet order assemble used for them before, so they are
+    the same whichever is read first.  A_diffusion is the diffusion-only part
+    of A and effective_reaction the bilinear form of c - (1/2) div b; together
+    they make the Rayleigh functional a pair of quadratic forms instead of an
+    element loop.
     """
 
     n: int
     A: csr_matrix
-    B: csr_matrix
-    B_lumped: np.ndarray
-    A_diffusion: csr_matrix
-    effective_reaction: csr_matrix
     mesh_ref: str
     coeffs_ref: str
+    _table: ElementTable = field(repr=False)
+    _index: np.ndarray = field(repr=False)      # interior index of each element vertex
+    _scatter: tuple = field(repr=False)         # rows, cols, keep of the local entries
+    _local_D: np.ndarray = field(repr=False)    # diffusion part of A's local matrices
+
+    def _csr(self, local: np.ndarray) -> csr_matrix:
+        rows, cols, keep = self._scatter
+        return build_csr(self.n, self.n, rows, cols, local[keep])
+
+    @cached_property
+    def B(self) -> csr_matrix:
+        """Consistent mass: |K|/((d+1)(d+2)) off the diagonal, twice that on it."""
+        d1 = self._index.shape[1]
+        mass_off = self._table.geom.volume * (1.0 / (d1 * (d1 + 1)))
+        return self._csr(mass_off[:, None, None] * (1.0 + np.eye(d1)))
+
+    @cached_property
+    def B_lumped(self) -> np.ndarray:
+        """Lumped mass: |K|/(d+1) summed over the patch of each vertex."""
+        idx = self._index
+        inner = idx >= 0
+        share = self._table.geom.volume / idx.shape[1]
+        b_lumped = np.bincount(idx[inner], minlength=self.n,
+                               weights=np.broadcast_to(share[:, None], idx.shape)[inner])
+        b_lumped.setflags(write=False)
+        return b_lumped
+
+    @cached_property
+    def A_diffusion(self) -> csr_matrix:
+        return self._csr(self._local_D)
+
+    @cached_property
+    def effective_reaction(self) -> csr_matrix:
+        t = self._table
+        bary, _ = quadrature_barycentric(self._index.shape[1] - 1)
+        w = t.quad_weights * (t.reaction_q - 0.5 * t.divergence_q)
+        return self._csr(bary.T @ (bary * w[:, :, None]))
 
     @cached_property
     def lu(self) -> LUFactors:
@@ -53,48 +90,39 @@ class AssembledSystem:
 
 def assemble(mesh: SimplicialMesh, coeffs: ProblemCoefficients, *,
              table: ElementTable | None = None) -> AssembledSystem:
-    """Assemble stiffness and mass matrices over interior vertices.
+    """Assemble the stiffness matrix over interior vertices.
 
     Local matrices of all elements are formed at once from the element
     table (element_table(mesh, coeffs) unless one is passed) and scattered
-    as COO triplets in element order.
+    as COO triplets in element order.  The mass and Rayleigh matrices are
+    built when first read (see AssembledSystem).
     """
     t = element_table(mesh, coeffs) if table is None else table
-    d = mesh.dim
-    n = mesh.n_interior
-    bary, _ = quadrature_barycentric(d)
-    vol = t.geom.volume
+    bary, _ = quadrature_barycentric(mesh.dim)
     w = t.quad_weights
     G = t.geom.grad_basis
     GT = np.swapaxes(G, -1, -2)
 
-    local_D = vol[:, None, None] * (G @ t.D_K @ GT)
+    local_D = t.geom.volume[:, None, None] * (G @ t.D_K @ GT)
     # local_C[K, j, k] = sum_q w_q phi_j(x_q) (b(x_q) . grad phi_k)
     local_C = np.swapaxes(bary * w[:, :, None], -1, -2) @ (t.convection_q @ GT)
     local_R = bary.T @ (bary * (w * t.reaction_q)[:, :, None])
-    local_eff = bary.T @ (bary * (w * (t.reaction_q - 0.5 * t.divergence_q))[:, :, None])
-    local_A = local_D + local_C + local_R
-    mass_off = vol * (1.0 / ((d + 1) * (d + 2)))
-    local_B = mass_off[:, None, None] * (1.0 + np.eye(d + 1))
 
     idx = mesh.interior_index[mesh.elements]
-    rows = np.broadcast_to(idx[:, :, None], local_A.shape)
-    cols = np.broadcast_to(idx[:, None, :], local_A.shape)
+    rows = np.broadcast_to(idx[:, :, None], local_D.shape)
+    cols = np.broadcast_to(idx[:, None, :], local_D.shape)
     keep = (rows >= 0) & (cols >= 0)
     rows, cols = rows[keep], cols[keep]
-    inner = idx >= 0
-    b_lumped = np.bincount(idx[inner], minlength=n,
-                           weights=np.broadcast_to((vol / (d + 1))[:, None], idx.shape)[inner])
-    b_lumped.setflags(write=False)
+    n = mesh.n_interior
     return AssembledSystem(
         n=n,
-        A=build_csr(n, n, rows, cols, local_A[keep]),
-        B=build_csr(n, n, rows, cols, local_B[keep]),
-        B_lumped=b_lumped,
-        A_diffusion=build_csr(n, n, rows, cols, local_D[keep]),
-        effective_reaction=build_csr(n, n, rows, cols, local_eff[keep]),
+        A=build_csr(n, n, rows, cols, (local_D + local_C + local_R)[keep]),
         mesh_ref=mesh.label,
         coeffs_ref=coeffs.label,
+        _table=t,
+        _index=idx,
+        _scatter=(rows, cols, keep),
+        _local_D=local_D,
     )
 
 

@@ -125,17 +125,18 @@ def write_vtk(path: str, mesh: SimplicialMesh, point_values: np.ndarray,
                  "ASCII\n"
                  "DATASET UNSTRUCTURED_GRID\n"
                  f"POINTS {mesh.n_vertices} double\n")
-        fh.writelines(" ".join(map(repr, row)) + "\n" for row in coords.tolist())
+        # one % pass per section; %r of a float is its repr, %d of an int its str
+        fh.write("%r %r %r\n" * mesh.n_vertices % tuple(coords.ravel().tolist()))
         fh.write(f"CELLS {mesh.n_elements} {mesh.n_elements * (npe + 1)}\n")
-        fh.writelines(f"{npe} " + " ".join(map(str, row)) + "\n"
-                      for row in mesh.elements.tolist())
+        fh.write((f"{npe}" + " %d" * npe + "\n") * mesh.n_elements
+                 % tuple(mesh.elements.ravel().tolist()))
         fh.write(f"CELL_TYPES {mesh.n_elements}\n")
         fh.write(f"{_VTK_CELL_TYPES[mesh.dim]}\n" * mesh.n_elements)
         fh.write(f"POINT_DATA {mesh.n_vertices}\n"
                  f"SCALARS {name} double 1\n"
                  "LOOKUP_TABLE default\n")
-        fh.writelines(repr(v) + "\n"
-                      for v in np.asarray(point_values, dtype=np.float64).tolist())
+        fh.write("%r\n" * mesh.n_vertices
+                 % tuple(np.asarray(point_values, dtype=np.float64).tolist()))
 
 
 def _load_problem(args) -> ProblemCoefficients:

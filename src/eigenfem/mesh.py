@@ -8,7 +8,9 @@ mesh carries a dense numbering of its interior vertices in ``interior_index``.
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +66,12 @@ class SimplicialMesh:
     def interior_vertices(self) -> np.ndarray:
         """Vertex ids of interior vertices in increasing order."""
         return np.flatnonzero(~self.boundary)
+
+    @cached_property
+    def edges(self) -> MeshEdges:
+        """Edge -> element incidence (mesh_edges), built on first read; the
+        Delaunay-type check and the connectivity check share it."""
+        return mesh_edges(self)
 
     @classmethod
     def from_arrays(cls, dim, vertices, elements, boundary,
@@ -273,7 +281,7 @@ def interior_connectivity(mesh: SimplicialMesh) -> InteriorConnectivity:
     if interior.size == 0:
         return InteriorConnectivity(True, [], False)
 
-    ends = mesh.interior_index[mesh_edges(mesh).vertices]
+    ends = mesh.interior_index[mesh.edges.vertices]
     ends = ends[np.all(ends >= 0, axis=1)]
     n = interior.size
     graph = coo_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(n, n))
@@ -288,16 +296,51 @@ def interior_connectivity(mesh: SimplicialMesh) -> InteriorConnectivity:
 # Triangle .node / .ele text format (2D only, boundary markers required)
 # ---------------------------------------------------------------------------
 
-def _data_lines(text: str):
-    for line in text.splitlines():
+def _data_lines(lines):
+    for line in lines:
         toks = line.split("#", 1)[0].split()
         if toks:
             yield toks
 
 
-def _columns(rows: list, want: int, kind: str) -> list:
-    """The fields of the data lines, column by column; every line must hold
-    exactly want fields."""
+def _header(text: str, kind: str) -> tuple[list, list]:
+    """The header fields of Triangle text and the lines after the header."""
+    lines = text.splitlines()
+    for i, toks in enumerate(line.split("#", 1)[0].split() for line in lines):
+        if toks:
+            return toks, lines[i + 1:]
+    raise MeshError(f"{kind} file is empty")
+
+
+def _table(body: list, fields: list, count: int) -> np.ndarray:
+    """The data lines of body as count records of the given fields, read by
+    numpy's C reader.
+
+    Raises ValueError (or a numpy warning) when a line holds the wrong number
+    of fields or a field does not convert, when body holds other than count
+    data lines, and when the longest line is too short to hold the fields, so
+    that a bogus header never sizes the reader's records.
+    """
+    width = sum(field[2] if len(field) == 3 else 1 for field in fields)
+    if 2 * width - 1 > max(map(len, body), default=0):
+        raise ValueError("no line holds the fields")
+    with warnings.catch_warnings():
+        # numpy < 2 reads "1.0" into an integer with a DeprecationWarning, and
+        # a body without data lines warns
+        warnings.simplefilter("error")
+        table = np.loadtxt(body, np.dtype(fields), comments="#", ndmin=1)
+    if len(table) != count:
+        raise ValueError("the header miscounts the data lines")
+    return table
+
+
+def _columns(body: list, count: int, noun: str, want: int, kind: str) -> list:
+    """The fields of the data lines, column by column, read one line at a
+    time: the diagnostic after _table has rejected the lines.  There must be
+    count data lines, each holding exactly want fields."""
+    rows = list(_data_lines(body))
+    if len(rows) != count:
+        raise MeshError(f"{kind} header promises {count} {noun}, found {len(rows)}")
     for r, toks in enumerate(rows):
         if len(toks) != want:
             raise MeshError(f"{kind} line {r + 2}: expected {want} fields, got {len(toks)}")
@@ -310,13 +353,16 @@ def _stack(conv, dtype, *cols) -> np.ndarray:
     return np.fromiter(map(conv, flat), dtype, len(cols) * len(cols[0])).reshape(-1, len(cols))
 
 
+# Both parsers read the data lines with _table.  Where it fails, the lines are
+# read again by _columns and _stack with int() and float(): that raises the
+# error naming the bad line, and it accepts the few spellings int() and
+# float() take but numpy does not (digit-group underscores, non-ASCII digits).
+# Ignored columns (ids of .ele, attributes) are read as one-character strings,
+# so any token passes there.
+
 def parse_node(text: str):
     """Parse .node text into (vertices, boundary, index_base)."""
-    lines = _data_lines(text)
-    try:
-        header = next(lines)
-    except StopIteration:
-        raise MeshError(".node file is empty") from None
+    header, body = _header(text, ".node")
     if len(header) != 4:
         raise MeshError(".node header must have 4 fields")
     n_v, dim, n_attr, marker_flag = (int(tok) for tok in header)
@@ -328,29 +374,27 @@ def parse_node(text: str):
     if n_v < 1:
         raise MeshError(".node vertex count must be positive")
 
-    rows = list(lines)
-    if len(rows) != n_v:
-        raise MeshError(f".node header promises {n_v} vertices, found {len(rows)}")
-    cols = _columns(rows, 1 + 2 + n_attr + 1, ".node")
-    ids, markers = _stack(int, np.int64, cols[0], cols[-1]).T
-    coords = _stack(float, np.float64, cols[1], cols[2])
+    try:
+        table = _table(body, [("id", np.int64), ("xy", np.float64, 2),
+                              ("attr", "U1", n_attr), ("marker", np.int64)], n_v)
+        ids, coords, markers = table["id"], table["xy"], table["marker"]
+    except (ValueError, Warning):
+        cols = _columns(body, n_v, "vertices", 1 + 2 + n_attr + 1, ".node")
+        ids, markers = _stack(int, np.int64, cols[0], cols[-1]).T
+        coords = _stack(float, np.float64, cols[1], cols[2])
 
     base = int(ids.min())
     if base not in (0, 1):
         raise MeshError(f".node indices must start at 0 or 1, not {base}")
-    if sorted(ids.tolist()) != list(range(base, base + n_v)):
-        raise MeshError(".node vertex numbering must be consecutive")
     order = np.argsort(ids)
+    if not np.array_equal(ids[order], np.arange(base, base + n_v)):
+        raise MeshError(".node vertex numbering must be consecutive")
     return coords[order], markers[order] != 0, base
 
 
 def parse_ele(text: str, n_vertices: int, base: int) -> np.ndarray:
     """Parse .ele text into a 0-based (n, 3) element array."""
-    lines = _data_lines(text)
-    try:
-        header = next(lines)
-    except StopIteration:
-        raise MeshError(".ele file is empty") from None
+    header, body = _header(text, ".ele")
     if len(header) != 3:
         raise MeshError(".ele header must have 3 fields")
     n_e, nodes_per, n_attr = (int(tok) for tok in header)
@@ -359,10 +403,13 @@ def parse_ele(text: str, n_vertices: int, base: int) -> np.ndarray:
     if n_e < 1:
         raise MeshError(".ele element count must be positive")
 
-    rows = list(lines)
-    if len(rows) != n_e:
-        raise MeshError(f".ele header promises {n_e} elements, found {len(rows)}")
-    elems = _stack(int, np.int64, *_columns(rows, 1 + 3 + n_attr, ".ele")[1:4]) - base
+    try:
+        table = _table(body, [("id", "U1"), ("vertices", np.int64, 3),
+                              ("attr", "U1", n_attr)], n_e)
+        elems = table["vertices"] - base
+    except (ValueError, Warning):
+        cols = _columns(body, n_e, "elements", 1 + 3 + n_attr, ".ele")
+        elems = _stack(int, np.int64, *cols[1:4]) - base
     if elems.min() < 0 or elems.max() >= n_vertices:
         raise MeshError(".ele references a vertex outside the .node file")
     return elems

@@ -28,7 +28,7 @@ import numpy as np
 from .coefficients import ElementTable, ProblemCoefficients, element_table
 from .element_geometry import (ANGLE_CLAMP, angle_from_cos, metric_altitudes,
                                min_cosine)
-from .mesh import MeshEdges, SimplicialMesh, interior_connectivity, mesh_edges
+from .mesh import SimplicialMesh, interior_connectivity
 
 # Slack used when comparing assembled entries against their analytic bounds.
 BOUND_SLACK = 1e-10
@@ -138,10 +138,11 @@ def _local(mesh: SimplicialMesh, K: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.argmax(mesh.elements[K] == v[:, None], axis=1)
 
 
-def _internal_edges(mesh: SimplicialMesh, t: ElementTable, edges: MeshEdges):
+def _internal_edges(mesh: SimplicialMesh, t: ElementTable):
     """Edges held by two elements K < K': edge ids, K, K', and the cosines
     of the metric angles of K and K' facing the edge (the dihedral angle
     between the two faces opposite the edge's endpoints)."""
+    edges = mesh.edges
     internal = np.flatnonzero(np.diff(edges.offsets) == 2)
     K, Kp = edges.elements[edges.offsets[internal]], edges.elements[edges.offsets[internal] + 1]
     j, k = edges.vertices[internal].T
@@ -167,9 +168,9 @@ def _delaunay_lhs(aK, cotK, detK, aKp, cotKp, detKp, theta):
     return 0.5 * (aK + aKp + t1 + t2)
 
 
-def _delaunay(mesh: SimplicialMesh, t: ElementTable, edges: MeshEdges) -> DelaunayReport:
+def _delaunay(mesh: SimplicialMesh, t: ElementTable) -> DelaunayReport:
     d = 2
-    internal, K, Kp, cK, cKp = _internal_edges(mesh, t, edges)
+    internal, K, Kp, cK, cKp = _internal_edges(mesh, t)
     aK, aKp = angle_from_cos(cK), angle_from_cos(cKp)
     cotK, cotKp = _cot_from_cos(cK), _cot_from_cos(cKp)
     det_D = np.linalg.det(t.D_K)
@@ -179,7 +180,7 @@ def _delaunay(mesh: SimplicialMesh, t: ElementTable, edges: MeshEdges) -> Delaun
     lhs = _delaunay_lhs(aK, cotK, detK, aKp, cotKp, detKp, theta)
     lhs_free = _delaunay_lhs(aK, cotK, detK, aKp, cotKp, detKp, 0.0)
     weak, strict = _grade(lhs, math.pi)
-    return DelaunayReport(edges.vertices[internal], np.column_stack([K, Kp]), lhs, theta,
+    return DelaunayReport(mesh.edges.vertices[internal], np.column_stack([K, Kp]), lhs, theta,
                           lhs_free, weak, strict, float(lhs_free.max(initial=0.0)),
                           bool(weak.all()), bool(strict.all()))
 
@@ -190,7 +191,7 @@ def evaluate_conditions(mesh: SimplicialMesh, coeffs: ProblemCoefficients, *,
     element_table(mesh, coeffs) unless a table is passed."""
     t = element_table(mesh, coeffs) if table is None else table
     nob = _nonobtuse(mesh, t)
-    dela = _delaunay(mesh, t, mesh_edges(mesh)) if mesh.dim == 2 else None
+    dela = _delaunay(mesh, t) if mesh.dim == 2 else None
     return ConditionReport(
         nonobtuse=nob,
         delaunay=dela,
@@ -231,7 +232,7 @@ def entry_bound_report(mesh: SimplicialMesh, coeffs: ProblemCoefficients,
     cotangent form.  Violations indicate an assembly or geometry bug, not
     a mesh-quality problem.
     """
-    t, edges, d = element_table(mesh, coeffs), mesh_edges(mesh), mesh.dim
+    t, edges, d = element_table(mesh, coeffs), mesh.edges, mesh.dim
     n_edges = len(edges.vertices)
 
     # General bound: a sum over the patch of each edge, one term per element.
@@ -248,7 +249,7 @@ def entry_bound_report(mesh: SimplicialMesh, coeffs: ProblemCoefficients,
 
     bound_2d = np.full(n_edges, np.nan)
     if d == 2:
-        internal, K, Kp, cK, cKp = _internal_edges(mesh, t, edges)
+        internal, K, Kp, cK, cKp = _internal_edges(mesh, t)
         sqrt_det = np.sqrt(np.linalg.det(t.D_K))
         bound_2d[internal] = (
             -0.5 * sqrt_det[K] * _cot_from_cos(cK)

@@ -15,6 +15,9 @@ Everything here deliberately avoids the code paths under test:
   mesh conditions one element and one edge at a time, calling the
   coefficient functions at one point per call, never the batched element
   table;
+* eager_assemble builds all five matrices of an assembled system in one
+  call, with the expressions of an assemble that built them all up front,
+  where the package builds all but A on first read;
 * broadcast_coefficient_stats broadcasts each coefficient to every node
   before it averages or reduces, where the element table reduces what the
   callable returned;
@@ -37,8 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from eigenfem.coefficients import element_table
 from eigenfem.element_geometry import quadrature_barycentric
 from eigenfem.errors import MeshError, SingularMatrixError
+from eigenfem.sparse_linalg import build_csr
 
 
 class NumericalFailureError(RuntimeError):
@@ -266,6 +271,43 @@ def loop_assemble(mesh, coeffs) -> tuple[np.ndarray, np.ndarray]:
                     A[idx[a], idx[b]] += local_A[a, b]
                     B[idx[a], idx[b]] += local_B[a, b]
     return A, B
+
+
+def eager_assemble(mesh, coeffs) -> dict:
+    """A, B, B_lumped, A_diffusion and effective_reaction of the interior
+    system, every one built before any is returned."""
+    t = element_table(mesh, coeffs)
+    d = mesh.dim
+    n = mesh.n_interior
+    bary, _ = quadrature_barycentric(d)
+    vol = t.geom.volume
+    w = t.quad_weights
+    G = t.geom.grad_basis
+    GT = np.swapaxes(G, -1, -2)
+
+    local_D = vol[:, None, None] * (G @ t.D_K @ GT)
+    local_C = np.swapaxes(bary * w[:, :, None], -1, -2) @ (t.convection_q @ GT)
+    local_R = bary.T @ (bary * (w * t.reaction_q)[:, :, None])
+    local_eff = bary.T @ (bary * (w * (t.reaction_q - 0.5 * t.divergence_q))[:, :, None])
+    local_A = local_D + local_C + local_R
+    mass_off = vol * (1.0 / ((d + 1) * (d + 2)))
+    local_B = mass_off[:, None, None] * (1.0 + np.eye(d + 1))
+
+    idx = mesh.interior_index[mesh.elements]
+    rows = np.broadcast_to(idx[:, :, None], local_A.shape)
+    cols = np.broadcast_to(idx[:, None, :], local_A.shape)
+    keep = (rows >= 0) & (cols >= 0)
+    rows, cols = rows[keep], cols[keep]
+    inner = idx >= 0
+    b_lumped = np.bincount(idx[inner], minlength=n,
+                           weights=np.broadcast_to((vol / (d + 1))[:, None], idx.shape)[inner])
+    return {
+        "A": build_csr(n, n, rows, cols, local_A[keep]),
+        "B": build_csr(n, n, rows, cols, local_B[keep]),
+        "B_lumped": b_lumped,
+        "A_diffusion": build_csr(n, n, rows, cols, local_D[keep]),
+        "effective_reaction": build_csr(n, n, rows, cols, local_eff[keep]),
+    }
 
 
 def broadcast_coefficient_stats(coeffs, pts, w, X) -> tuple:

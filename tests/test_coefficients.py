@@ -200,13 +200,23 @@ def test_constant_non_spd_diffusion_rejected(D):
         element_table(mesh, bad)
 
 
-def test_singular_diffusion_rejected_by_check_assumptions():
-    # a scalar 2.0 broadcasts to the singular [[2, 2], [2, 2]], whose last
-    # Cholesky pivot rounds to eps * 2 instead of 0; element_table's SPD
-    # check, which took over from check_assumptions, rejects it
-    bad = _with_diffusion(lambda x: 2.0)
-    with pytest.raises(CoefficientError, match="not positive definite"):
-        element_table(generate_structured("mesh45", 5), bad)
+def test_singular_diffusion_at_one_node_rejected():
+    # D is the singular [[2, 2], [2, 2]] at one quadrature node and the
+    # identity everywhere else, so the element average D_K is SPD; the last
+    # Cholesky pivot at that node rounds to eps * 2 instead of 0, and the
+    # pointwise SPD check still rejects it, as it does where a scalar 2.0
+    # makes D singular everywhere
+    mesh = generate_structured("mesh45", 5)
+    pts = element_table(mesh, catalog("laplace")).quad_points
+    point = pts[len(pts) // 2, 1]
+
+    def diffusion(x):
+        hit = np.all(np.asarray(x) == point, axis=-1)[..., None, None]
+        return np.where(hit, np.full((2, 2), 2.0), np.eye(2))
+
+    for bad in (_with_diffusion(diffusion), _with_diffusion(lambda x: 2.0)):
+        with pytest.raises(CoefficientError, match="not positive definite"):
+            element_table(mesh, bad)
 
 
 @pytest.mark.parametrize("q", [0, 1, 2])

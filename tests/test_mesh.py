@@ -350,3 +350,146 @@ def test_parse_field_count_messages():
         parse_node("2 2 0 1\n1 0.0 0.0 1\n2 1.0 0.0 1 9\n")
     with pytest.raises(MeshError, match=r"^\.ele line 2: expected 4 fields, got 3$"):
         parse_ele("1 3 0\n1 1 2\n", 3, 1)
+
+
+_NODE = ("5 2 1 1\n"
+         "1 0.0 0.0 7 1\n2 1.0 0.0 7 1\n3 1.0 1.0 7 1\n4 0.0 1.0 7 1\n"
+         "5 0.30000000000000004 0.5 7 0\n")
+_ELE = "4 3 1\n1 1 2 5 0\n2 2 3 5 0\n3 3 4 5 0\n4 4 1 5 0\n"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda t: t.replace("\n", "\r\n"),
+    lambda t: t.replace("\n", "\r"),
+    lambda t: t.replace(" ", "\t"),
+    lambda t: t.replace(" 1\n", " 1#c\n").replace(" 0\n", " 0# c\n"),
+    lambda t: "# made by hand\n\n  # indented comment\n" + t,
+    lambda t: t + "\n\n  \t\n# end\n",
+    lambda t: t.replace(" 7 ", " \xa0attr\u3000"),
+], ids=["crlf", "cr", "tabs", "glued-comment", "comments-before-header",
+        "trailing-blank-lines", "unicode-spaces"])
+def test_parse_edge_cases_bit_identical_to_loop_parser(edit):
+    vertices, boundary, elements = _assert_parse_matches_loop(edit(_NODE), edit(_ELE))
+    assert vertices[4].tolist() == [0.30000000000000004, 0.5]
+    assert boundary.tolist() == [True, True, True, True, False]
+    assert elements.tolist() == [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]
+
+
+def test_ignored_columns_take_any_token():
+    # .ele ids and attributes and .node attributes are never converted
+    node = _NODE.replace(" 7 ", " é→x ")
+    ele = "4 3 2\n" + "".join(f"{tag} {a} {b} 5 none {tag * 3}\n" for tag, a, b in
+                             (("a", 1, 2), ("b", 2, 3), ("c", 3, 4), ("d", 4, 1)))
+    _assert_parse_matches_loop(node, ele)
+
+
+def _outcome(parse, *args):
+    """What parse returns, or the type and text of what it raises."""
+    try:
+        return parse(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _raised(outcome) -> bool:
+    return isinstance(outcome[0], type)
+
+
+def _with_spelling(field: str, spelling: str) -> tuple[str, str]:
+    """_NODE and _ELE with one id, marker, coordinate or element vertex
+    spelled differently."""
+    node, ele = _NODE, _ELE
+    if field == "id":
+        node = node.replace("\n1 0.0", f"\n{spelling} 0.0")
+    elif field == "marker":
+        node = node.replace(" 7 0\n", f" 7 {spelling}\n")
+    elif field == "coordinate":
+        node = node.replace(" 0.5 ", f" {spelling} ")
+    else:
+        ele = ele.replace("\n2 2 3 5", f"\n2 2 3 {spelling}")
+    return node, ele
+
+
+@pytest.mark.parametrize("spelling", ["+1", "01", "1.0", "1e3", "0x1", "0_1", "\u0661",
+                                      "99999999999999999999", "nan"])
+@pytest.mark.parametrize("field", ["id", "marker", "coordinate", "element"])
+def test_spellings_read_as_int_and_float_read_them(field, spelling):
+    # ids, markers and element vertices are read as int() reads them and
+    # coordinates as float() does: accepted with the same values, or
+    # rejected with the same exception, as by the loop parser
+    node, ele = _with_spelling(field, spelling)
+    want, got = _outcome(loop_parse_node, node), _outcome(parse_node, node)
+    if _raised(want):
+        assert got == want
+        return
+    assert not _raised(got), got
+    assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
+    assert np.array_equal(got[1], want[1]) and got[2] == want[2]
+    want_e = _outcome(loop_parse_ele, ele, want[2])
+    got_e = _outcome(parse_ele, ele, len(want[0]), want[2])
+    if _raised(want_e):
+        assert got_e == want_e
+    elif _raised(got_e):   # the loop parser does not range-check
+        assert got_e == (MeshError, ".ele references a vertex outside the .node file")
+        assert want_e.max() >= len(want[0])
+    else:
+        assert np.array_equal(got_e, want_e)
+
+
+@pytest.mark.parametrize("field, spelling", [("id", "1.0"), ("marker", "1e3"),
+                                             ("element", "2.0")])
+def test_rejected_integer_spelling_exits_one(tmp_path, capsys, field, spelling):
+    from eigenfem.cli import main
+
+    node, ele = _with_spelling(field, spelling)
+    (tmp_path / "m.node").write_text(node)
+    (tmp_path / "m.ele").write_text(ele)
+    code = main(["analyze", "--problem", "laplace", "--mesh", "import",
+                 "--node", str(tmp_path / "m.node"), "--ele", str(tmp_path / "m.ele"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: invalid literal for int() with base 10: '{spelling}'\n")
+
+
+@pytest.mark.parametrize("node, ele, message", [
+    ("3 2 0 1\n# no data\n\n", None, ".node header promises 3 vertices, found 0"),
+    ("3 2 0 1\n1 0 0 1\n2 1 0 1\n", None, ".node header promises 3 vertices, found 2"),
+    (None, "2 3 0\n1 1 2 3\n2 1 3 4\n3 2 3 4\n", ".ele header promises 2 elements, found 3"),
+    (None, "2 3 0\n1 1 2 3 9\n2 1 3\n", ".ele line 2: expected 4 fields, got 5"),
+])
+def test_line_count_and_field_messages(node, ele, message):
+    # a wrong line count is reported like a wrong field count, by the line loop
+    with pytest.raises(MeshError, match=f"^{message}$"):
+        if node is not None:
+            parse_node(node)
+        else:
+            parse_ele(ele, 4, 1)
+
+
+def test_bogus_attribute_count_never_reaches_the_reader(monkeypatch):
+    # numpy's reader would size its records by the header's fields, about
+    # 23 bytes a field; no line is long enough to hold a billion of them
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reader called")
+
+    monkeypatch.setattr(np, "loadtxt", unreachable)
+    with pytest.raises(MeshError, match=r"^\.node line 2: expected 1000000004 fields, got 4$"):
+        parse_node("4 2 1000000000 1\n1 0 0 1\n2 1 0 1\n3 1 1 1\n4 0 1 1\n")
+    with pytest.raises(MeshError, match=r"^\.ele line 2: expected 1000000004 fields, got 4$"):
+        parse_ele("1 3 1000000000\n1 1 2 3\n", 3, 1)
+
+
+def test_well_formed_files_skip_the_line_loop(monkeypatch):
+    # the per-line reader runs only after numpy's reader has rejected a file
+    import eigenfem.mesh
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("line loop called")
+
+    monkeypatch.setattr(eigenfem.mesh, "_columns", unreachable)
+    node_text, ele_text = _jittered_triangle_text(seed=3, J=9)
+    for text in (node_text, node_text.replace("\n", "\r\n"), _NODE):
+        parse_node(text)
+    for text in (ele_text, _ELE):
+        parse_ele(text, 81, 1)
