@@ -25,7 +25,7 @@ from .mesh import (InteriorConnectivity, SimplicialMesh, export_triangle,
 from .mesh_conditions import (ConditionReport, DelaunayReport, EntryBoundReport,
                               NonobtuseReport, entry_bound_report,
                               evaluate_conditions)
-from .sparse_linalg import LUFactors, build_csr, lu_factor, solve
+from .sparse_linalg import build_csr, lu_factor, solve
 
 __version__ = "0.1.0"
 
@@ -44,6 +44,6 @@ __all__ = [
     "load_triangle", "mesh_spacing",
     "ConditionReport", "DelaunayReport", "EntryBoundReport", "NonobtuseReport",
     "entry_bound_report", "evaluate_conditions",
-    "LUFactors", "build_csr", "lu_factor", "solve",
+    "build_csr", "lu_factor", "solve",
     "__version__",
 ]

@@ -19,85 +19,79 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, diags
+from scipy.sparse.linalg import SuperLU
 
 from .coefficients import ElementTable, ProblemCoefficients, element_table
 from .element_geometry import quadrature_barycentric
 from .mesh import SimplicialMesh
-from .sparse_linalg import LUFactors, build_csr, lu_factor
+from .sparse_linalg import build_csr, lu_factor
 
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """Immutable interior-vertex system A u = lambda B u.
+    """Immutable interior-vertex pencil (A, B) and the element table it came from.
 
-    assemble builds A.  B, B_lumped, A_diffusion and effective_reaction are
-    built on first read from the element table the system keeps, with the
-    expressions and triplet order assemble used for them before, so they are
-    the same whichever is read first.  A_diffusion is the diffusion-only part
-    of A and effective_reaction the bilinear form of c - (1/2) div b; together
-    they make the Rayleigh functional a pair of quadratic forms instead of an
-    element loop.
+    assemble builds A.  B and B_lumped are built on first read from the
+    kept table in A's triplet order, so they are the same whichever is read
+    first.  lu is the one sparse LU of A, shared by the eigensolver and the
+    certificate; table is the ElementTable of (mesh, coeffs), which analyze
+    also hands to the mesh conditions.
     """
 
     n: int
     A: csr_matrix
-    mesh_ref: str
-    coeffs_ref: str
-    _table: ElementTable = field(repr=False)
+    table: ElementTable = field(repr=False)
     _index: np.ndarray = field(repr=False)      # interior index of each element vertex
     _scatter: tuple = field(repr=False)         # rows, cols, keep of the local entries
-    _local_D: np.ndarray = field(repr=False)    # diffusion part of A's local matrices
-
-    def _csr(self, local: np.ndarray) -> csr_matrix:
-        rows, cols, keep = self._scatter
-        return build_csr(self.n, self.n, rows, cols, local[keep])
 
     @cached_property
     def B(self) -> csr_matrix:
         """Consistent mass: |K|/((d+1)(d+2)) off the diagonal, twice that on it."""
         d1 = self._index.shape[1]
-        mass_off = self._table.geom.volume * (1.0 / (d1 * (d1 + 1)))
-        return self._csr(mass_off[:, None, None] * (1.0 + np.eye(d1)))
+        mass_off = self.table.geom.volume * (1.0 / (d1 * (d1 + 1)))
+        rows, cols, keep = self._scatter
+        return build_csr(self.n, self.n, rows, cols,
+                         (mass_off[:, None, None] * (1.0 + np.eye(d1)))[keep])
 
     @cached_property
     def B_lumped(self) -> np.ndarray:
         """Lumped mass: |K|/(d+1) summed over the patch of each vertex."""
         idx = self._index
         inner = idx >= 0
-        share = self._table.geom.volume / idx.shape[1]
+        share = self.table.geom.volume / idx.shape[1]
         b_lumped = np.bincount(idx[inner], minlength=self.n,
                                weights=np.broadcast_to(share[:, None], idx.shape)[inner])
         b_lumped.setflags(write=False)
         return b_lumped
 
     @cached_property
-    def A_diffusion(self) -> csr_matrix:
-        return self._csr(self._local_D)
+    def _lumped_matrix(self) -> csr_matrix:
+        return diags(self.B_lumped, format="csr")
+
+    def mass_matrix(self, mass: str) -> csr_matrix:
+        """B for "consistent" mass, the diagonal matrix of B_lumped for "lumped"."""
+        if mass == "consistent":
+            return self.B
+        if mass == "lumped":
+            return self._lumped_matrix
+        raise ValueError(f"unknown mass treatment: {mass!r}")
 
     @cached_property
-    def effective_reaction(self) -> csr_matrix:
-        t = self._table
-        bary, _ = quadrature_barycentric(self._index.shape[1] - 1)
-        w = t.quad_weights * (t.reaction_q - 0.5 * t.divergence_q)
-        return self._csr(bary.T @ (bary * w[:, :, None]))
-
-    @cached_property
-    def lu(self) -> LUFactors:
+    def lu(self) -> SuperLU:
         """Sparse LU of A, made on first use; the solver and the certificate share it."""
         return lu_factor(self.A)
 
 
-def assemble(mesh: SimplicialMesh, coeffs: ProblemCoefficients, *,
-             table: ElementTable | None = None) -> AssembledSystem:
+def assemble(mesh: SimplicialMesh, coeffs: ProblemCoefficients) -> AssembledSystem:
     """Assemble the stiffness matrix over interior vertices.
 
-    Local matrices of all elements are formed at once from the element
-    table (element_table(mesh, coeffs) unless one is passed) and scattered
-    as COO triplets in element order.  The mass and Rayleigh matrices are
-    built when first read (see AssembledSystem).
+    Local matrices of all elements are formed at once from
+    element_table(mesh, coeffs) and scattered as COO triplets in element
+    order.  The mass matrices are built when first read (see
+    AssembledSystem).
     """
-    t = element_table(mesh, coeffs) if table is None else table
+    t = element_table(mesh, coeffs)
     bary, _ = quadrature_barycentric(mesh.dim)
     w = t.quad_weights
     G = t.geom.grad_basis
@@ -117,28 +111,27 @@ def assemble(mesh: SimplicialMesh, coeffs: ProblemCoefficients, *,
     return AssembledSystem(
         n=n,
         A=build_csr(n, n, rows, cols, (local_D + local_C + local_R)[keep]),
-        mesh_ref=mesh.label,
-        coeffs_ref=coeffs.label,
-        _table=t,
+        table=t,
         _index=idx,
         _scatter=(rows, cols, keep),
-        _local_D=local_D,
     )
 
 
-def rayleigh(system: AssembledSystem, v: np.ndarray) -> float:
-    """Rayleigh functional F(v) of a real interior vector.
+def rayleigh(system: AssembledSystem, v: np.ndarray, mass: str = "consistent") -> float:
+    """Rayleigh quotient F(v) = v' A v / v' B v of a real interior vector.
 
-    F(v) = (v' A_D v + int (c - 0.5 div b) (v^h)^2) / (v' B v), where A_D
-    is the diffusion-only stiffness.  For symmetric problems this is the
-    functional whose minimum over nonzero v is the principal eigenvalue.
+    B is the consistent or lumped mass (mass as in solve_smallest).  v' A v
+    sees only the symmetric part of A: the convection form
+    int v^h (b . grad v^h) equals -(1/2) int div b (v^h)^2, so F(v) is
+    (int grad v^h . D grad v^h + (c - (1/2) div b) (v^h)^2) / v' B v.  The
+    degree-2 rule integrates phi_j (b . grad phi_k) exactly for affine b,
+    as in every catalog and JSON problem; for other b, v' A v and that
+    split form differ by quadrature error.  For symmetric problems the minimum of F over
+    nonzero v is the principal eigenvalue of (A, B).
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (system.n,):
         raise ValueError(f"vector must have length {system.n}")
     if not np.any(v):
         raise ValueError("Rayleigh functional is undefined for the zero vector")
-    num = float(v @ (system.A_diffusion @ v)) + float(v @ (system.effective_reaction @ v))
-    den = float(v @ (system.B @ v))
-    return num / den
-
+    return float(v @ (system.A @ v)) / float(v @ (system.mass_matrix(mass) @ v))

@@ -31,7 +31,7 @@ import numpy as np
 
 from .assembly import assemble
 from .coefficients import (CATALOG_NAMES, REFERENCE_VALUES, ProblemCoefficients,
-                           catalog, coefficients_from_json, element_table)
+                           catalog, coefficients_from_json)
 from .errors import CoefficientError, EigenSolveError, MeshError, SingularMatrixError
 from .eigensolver import convergence_study, property_suite, solve_smallest
 from .matrix_analysis import m_matrix_certificate
@@ -64,12 +64,6 @@ class RunConfig:
     ref: float | None = None
     out: str = "."
 
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        if d["J_list"] is not None:
-            d["J_list"] = list(d["J_list"])
-        return d
-
 
 def _float_repr(x) -> str:
     if x is None:
@@ -95,7 +89,7 @@ def _json_ready(obj):
 
 
 def _write_json(path: str, config: RunConfig, payload: dict) -> None:
-    doc = {"config": config.to_dict(), **payload}
+    doc = {"config": dataclasses.asdict(config), **payload}
     with open(path, "w") as fh:
         json.dump(_json_ready(doc), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -103,7 +97,7 @@ def _write_json(path: str, config: RunConfig, payload: dict) -> None:
 
 def _write_csv(path: str, config: RunConfig, header: list, rows) -> None:
     """Write rows of already formatted strings under a config comment and header."""
-    lines = ["# config: " + json.dumps(_json_ready(config.to_dict()), sort_keys=True)]
+    lines = ["# config: " + json.dumps(_json_ready(dataclasses.asdict(config)), sort_keys=True)]
     lines.append(",".join(header))
     lines.extend(map(",".join, rows))
     with open(path, "w") as fh:
@@ -200,9 +194,8 @@ def cmd_analyze(args) -> int:
     mesh = _load_mesh(args)
     config = RunConfig("analyze", args.problem, args.mesh, J=args.J,
                        node=args.node, ele=args.ele, out=args.out)
-    table = element_table(mesh, coeffs)
-    report = evaluate_conditions(mesh, coeffs, table=table)
-    system = assemble(mesh, coeffs, table=table)
+    system = assemble(mesh, coeffs)
+    report = evaluate_conditions(mesh, coeffs, table=system.table)
     cert = m_matrix_certificate(system.A)
 
     os.makedirs(args.out, exist_ok=True)
@@ -329,7 +322,7 @@ def cmd_converge(args) -> int:
     for r in study.rows:
         rows.append([str(r.J), str(r.n_interior), _float_repr(r.h), _float_repr(r.lambda1),
                      _float_repr(r.error),
-                     _float_repr(r.observed_order) if r.observed_order is not None else "",
+                     _float_repr(r.observed_order),
                      _float_repr(r.undershoot), _float_repr(r.elapsed)])
     _write_csv(os.path.join(args.out, "convergence.csv"), config,
                ["J", "n_interior", "h", "lambda_1", "rel_error",

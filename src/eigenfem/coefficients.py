@@ -297,12 +297,17 @@ def coefficients_from_json(text: str) -> ProblemCoefficients:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CoefficientError(f"invalid coefficient JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise CoefficientError("coefficient JSON must be an object")
     for key in ("diffusion", "convection", "reaction"):
         if key not in payload:
             raise CoefficientError(f"coefficient JSON is missing field {key!r}")
-    D = np.asarray(payload["diffusion"], dtype=np.float64)
-    b = np.asarray(payload["convection"], dtype=np.float64)
-    c = float(payload["reaction"])
+    try:
+        D = np.asarray(payload["diffusion"], dtype=np.float64)
+        b = np.asarray(payload["convection"], dtype=np.float64)
+        c = float(payload["reaction"])
+    except (TypeError, ValueError) as exc:
+        raise CoefficientError(f"coefficient JSON fields must be numbers: {exc}") from exc
     check_spd(D)
     if b.shape != (D.shape[0],):
         raise CoefficientError("convection vector length must match diffusion dimension")

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
 from .assembly import AssembledSystem, assemble, rayleigh
@@ -55,16 +54,12 @@ class EigenSolution:
     k_converged: int
     krylov_dim: int                  # ARPACK's ncv (n for the dense path)
     n_solves: int                    # LU solves, one per operator application
+    mass: str                        # the mass treatment of the solved pencil
 
 
 def _mass_matrix(system: AssembledSystem, mass: str):
-    if mass == "consistent":
-        B = system.B
-        return B, float(np.abs(B.data).max()) if B.nnz else 0.0
-    if mass == "lumped":
-        w = system.B_lumped
-        return scipy.sparse.diags(w, format="csr"), float(np.abs(w).max())
-    raise ValueError(f"unknown mass treatment: {mass!r}")
+    B = system.mass_matrix(mass)
+    return B, float(np.abs(B.data).max()) if B.nnz else 0.0
 
 
 def _phase_align(u: np.ndarray) -> np.ndarray:
@@ -164,7 +159,7 @@ def solve_smallest(system: AssembledSystem, k: int, mass: str = "consistent",
     return EigenSolution(
         eigenvalues=lam, vectors=vectors, residuals=res, converged=conv,
         principal_vector=principal, k_requested=k, k_converged=int(conv.sum()),
-        krylov_dim=krylov_dim, n_solves=n_solves,
+        krylov_dim=krylov_dim, n_solves=n_solves, mass=mass,
     )
 
 
@@ -198,6 +193,8 @@ def property_suite(solution: EigenSolution, system: AssembledSystem,
     eigenvalue is real, simple, of smallest modulus, and its eigenvector
     one-signed; every eigenvalue has positive real part.  This routine
     measures each property on the computed pairs at fixed tolerances.
+    The Rayleigh identity and the variational bound are evaluated on the
+    pencil the solution was computed for (solution.mass).
     """
     lam = solution.eigenvalues
     if len(lam) == 0:
@@ -233,14 +230,14 @@ def property_suite(solution: EigenSolution, system: AssembledSystem,
     rayleigh_id = None
     if principal_real and l1.real > 0:
         if solution.principal_vector is not None:
-            F1 = rayleigh(system, solution.principal_vector)
+            F1 = rayleigh(system, solution.principal_vector, solution.mass)
             rayleigh_id = bool(abs(F1 - l1.real) <= RAYLEIGH_ID_TOL * l1.real)
         if coeffs.is_symmetric:
             rng = np.random.default_rng(VARIATIONAL_SEED)
             ok = True
             for _ in range(VARIATIONAL_TRIALS):
                 v = rng.standard_normal(system.n)
-                if rayleigh(system, v) < l1.real - VARIATIONAL_TOL:
+                if rayleigh(system, v, solution.mass) < l1.real - VARIATIONAL_TOL:
                     ok = False
                     break
             variational = ok
@@ -302,7 +299,7 @@ def convergence_study(coeffs: ProblemCoefficients, mesh_kind: str, J_list,
     if any(b <= a for a, b in zip(J_list, J_list[1:])):
         raise ValueError(f"J values must be strictly increasing, got {J_list}")
 
-    def level(J: int) -> ConvergenceRow:
+    def level(J: int, prev: ConvergenceRow | None) -> ConvergenceRow:
         t0 = time.perf_counter()
         mesh = generate_structured(mesh_kind, J)
         system = assemble(mesh, coeffs)
@@ -316,24 +313,19 @@ def convergence_study(coeffs: ProblemCoefficients, mesh_kind: str, J_list,
         under = 0.0
         if sol.principal_vector is not None:
             under = min(0.0, float(sol.principal_vector.min()))
-        err = abs(lam1.real - reference) / abs(reference)
-        return ConvergenceRow(J, system.n, mesh_spacing(mesh), float(lam1.real),
-                              float(err), None, under,
-                              time.perf_counter() - t0)
-
-    rows = [level(J) for J in J_list]
-
-    out_rows = []
-    for i, row in enumerate(rows):
+        err = float(abs(lam1.real - reference) / abs(reference))
         order = None
-        if i > 0 and row.error > 0 and rows[i - 1].error > 0:
-            order = math.log(rows[i - 1].error / row.error) / math.log(
-                row.J / rows[i - 1].J)
-        out_rows.append(ConvergenceRow(row.J, row.n_interior, row.h, row.lambda1,
-                                       row.error, order, row.undershoot,
-                                       row.elapsed))
+        if prev is not None and err > 0 and prev.error > 0:
+            order = math.log(prev.error / err) / math.log(J / prev.J)
+        return ConvergenceRow(J, system.n, mesh_spacing(mesh), float(lam1.real),
+                              err, order, under, time.perf_counter() - t0)
 
-    pts = [(math.log(r.J), math.log(r.error)) for r in out_rows if r.error > 0]
+    rows = []
+    for J in J_list:
+        # one level's mesh and system are freed before the next is built
+        rows.append(level(J, rows[-1] if rows else None))
+
+    pts = [(math.log(r.J), math.log(r.error)) for r in rows if r.error > 0]
     if len(pts) >= 2:
         xs = np.array([p[0] for p in pts])
         ys = np.array([p[1] for p in pts])
@@ -341,4 +333,4 @@ def convergence_study(coeffs: ProblemCoefficients, mesh_kind: str, J_list,
     else:
         slope = float("nan")
     return ConvergenceStudy(coeffs.label, mesh_kind, float(reference), mass,
-                            out_rows, slope)
+                            rows, slope)

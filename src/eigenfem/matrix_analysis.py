@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix, issparse
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import SuperLU
 
 from .errors import SingularMatrixError
-from .sparse_linalg import LUFactors, lu_factor, solve
+from .sparse_linalg import lu_factor, solve
 
 # Entries within this relative tolerance of zero are treated as zero both
 # for sign checks and for the sparsity pattern used by irreducibility.
@@ -73,7 +74,7 @@ def _strong_components(M: csr_matrix) -> int:
     return int(connected_components(pattern, directed=True, connection="strong")[0])
 
 
-def _semipositive(M: csr_matrix, factors: LUFactors | None) -> bool:
+def _semipositive(M: csr_matrix, factors: SuperLU | None) -> bool:
     """Whether x = A^{-1} 1 is positive with A x > 0 (singular A: False).
 
     fl(A x)_i must exceed (m + 2) eps (|A| x)_i, m the largest row count,
@@ -111,7 +112,7 @@ class MatrixCertificate:
         return self.is_m_matrix and self.is_irreducible
 
 
-def m_matrix_certificate(A, factors: LUFactors | None = None) -> MatrixCertificate:
+def m_matrix_certificate(A, factors: SuperLU | None = None) -> MatrixCertificate:
     """Certify that A is a (possibly irreducible) nonsingular M-matrix.
 
     The test is: Z-matrix sign pattern, then semipositivity at

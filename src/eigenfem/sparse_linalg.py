@@ -9,11 +9,9 @@ minimum-degree column ordering on the symmetrized pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import SuperLU, splu
 
 from .errors import SingularMatrixError
 
@@ -35,52 +33,37 @@ def build_csr(n_rows: int, n_cols: int, rows, cols, vals) -> csr_matrix:
     return A
 
 
-@dataclass(frozen=True)
-class LUFactors:
-    """Sparse LU factorization Pr A Pc = L U.
-
-    L is unit lower triangular, U upper triangular, and pivots holds
-    |diag(U)|.  The splu handle holds the row and fill-reducing column
-    permutations and performs the actual triangular solves.
-    """
-
-    n: int
-    L: csc_matrix
-    U: csc_matrix
-    pivots: np.ndarray
-    _handle: object
-
-
-def lu_factor(A) -> LUFactors:
-    """Factor a square sparse matrix with partial pivoting.
+def lu_factor(A) -> SuperLU:
+    """Factor a square sparse matrix with partial pivoting; return scipy's SuperLU.
 
     Uses a minimum-degree ordering of A^T + A for fill reduction.  A pivot
     below 1e-12 of the largest is reported as singular rather than being
-    used.  A may be nonsymmetric: the same factors serve the M-matrix
+    used.  The SuperLU object is the one copy of the factors: it holds
+    Pr A Pc = L U (perm_r, perm_c, L, U) and does the triangular solves.
+    A may be nonsymmetric: the same factors serve the M-matrix
     certificate, which reads a singular factorization as "not an
     M-matrix", and the eigensolver, which reports it as a solver failure.
     """
     A = csc_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    n = A.shape[0]
-    if n == 0:
+    if A.shape[0] == 0:
         raise ValueError("matrix must be nonempty")
     try:
-        handle = splu(A, permc_spec="MMD_AT_PLUS_A")
+        factors = splu(A, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise SingularMatrixError(f"sparse LU failed: {exc}") from exc
-    pivots = np.abs(handle.U.diagonal())
+    pivots = np.abs(factors.U.diagonal())
     if pivots.min() <= PIVOT_REL_TOL * pivots.max():
         raise SingularMatrixError(
             f"numerically singular: pivot ratio {pivots.min() / pivots.max():.3e}"
         )
-    return LUFactors(n, handle.L, handle.U, pivots, handle)
+    return factors
 
 
-def solve(factors: LUFactors, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for a real right-hand side with precomputed factors."""
+def solve(factors: SuperLU, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b for a real right-hand side with the factors of lu_factor."""
     b = np.asarray(b)
-    if b.shape[0] != factors.n:
+    if b.shape[0] != factors.shape[0]:
         raise ValueError("right-hand side has wrong length")
-    return factors._handle.solve(b.astype(np.float64))
+    return factors.solve(b.astype(np.float64))

@@ -274,8 +274,10 @@ def loop_assemble(mesh, coeffs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eager_assemble(mesh, coeffs) -> dict:
-    """A, B, B_lumped, A_diffusion and effective_reaction of the interior
-    system, every one built before any is returned."""
+    """A, B and B_lumped of the interior system, every one built before any
+    is returned, with the split Rayleigh forms: A_diffusion, the
+    diffusion-only stiffness, and effective_reaction, the form of
+    c - (1/2) div b."""
     t = element_table(mesh, coeffs)
     d = mesh.dim
     n = mesh.n_interior

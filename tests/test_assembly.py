@@ -186,3 +186,13 @@ def test_rayleigh_rejects_zero():
     with pytest.raises(ValueError):
         rayleigh(s, np.zeros(s.n))
 
+
+
+def test_rayleigh_reads_the_named_mass():
+    s = assemble(generate_structured("mesh45", 9), catalog("ex5_1"))
+    v = np.random.default_rng(23).standard_normal(s.n)
+    num = v @ (s.A @ v)
+    assert rayleigh(s, v) == pytest.approx(num / (v @ (s.B @ v)), rel=1e-14)
+    assert rayleigh(s, v, "lumped") == pytest.approx(num / (s.B_lumped @ (v * v)), rel=1e-14)
+    with pytest.raises(ValueError, match="unknown mass treatment"):
+        rayleigh(s, v, "diagonal")

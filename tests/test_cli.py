@@ -347,6 +347,19 @@ def test_import_missing_file(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("problem", ["laplace", "ex5_1", "ex5_4"])
+def test_lumped_solve_checks_the_lumped_pencil(tmp_path, problem):
+    # the Rayleigh identity holds on the pencil that was solved: F(u_1) on
+    # (A, B_lumped) is lambda_1 to rounding, where on the consistent B it is
+    # about 1% away
+    code = run(["solve", "--problem", problem, "--mesh", "mesh45", "--J", "21",
+                "--k", "3", "--mass", "lumped", "--out", str(tmp_path)])
+    assert code == 0
+    props = json.loads((tmp_path / "properties.json").read_text())["properties"]
+    assert props["rayleigh_identity_ok"] is True
+    assert props["variational_min_ok"] is True
+
+
 def test_problem_json_descriptor(tmp_path):
     spec = {"label": "iso", "diffusion": [[1.0, 0.0], [0.0, 1.0]],
             "convection": [0.0, 0.0], "reaction": 0.0}
@@ -375,6 +388,27 @@ def test_non_finite_coefficient_exit_one(tmp_path, capsys, command, field, value
             "--out", str(tmp_path / "out")]
     assert run(argv + (["--k", "2"] if command == "solve" else [])) == 1
     assert "finite" in capsys.readouterr().err
+
+
+_GOOD_SPEC = {"diffusion": [[1.0, 0.0], [0.0, 1.0]], "convection": [0.0, 0.0],
+              "reaction": 0.0}
+
+
+@pytest.mark.parametrize("payload", [
+    3, "diffusion convection reaction",
+    {**_GOOD_SPEC, "reaction": None}, {**_GOOD_SPEC, "reaction": [1]},
+    {**_GOOD_SPEC, "diffusion": {"a": 1}},
+], ids=["number", "string", "null-reaction", "list-reaction", "object-diffusion"])
+def test_malformed_json_descriptor_exit_one(tmp_path, capsys, payload):
+    # payloads of the wrong JSON type are configuration errors, not TypeErrors
+    text = json.dumps(payload)
+    with pytest.raises(eigenfem.CoefficientError):
+        eigenfem.coefficients_from_json(text)
+    path = tmp_path / "prob.json"
+    path.write_text(text)
+    assert run(["analyze", "--problem", str(path), "--mesh", "mesh45", "--J", "5",
+                "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: coefficient JSON")
 
 
 def test_solver_failure_exit_four(tmp_path, monkeypatch, capsys):

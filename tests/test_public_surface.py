@@ -8,7 +8,7 @@ PUBLIC = [
     "AssembledSystem", "CATALOG_NAMES", "CoefficientError", "ConditionReport",
     "ConvergenceStudy", "DelaunayReport", "EigenSolution", "EigenSolveError",
     "ElementGeometry", "ElementTable", "EntryBoundReport", "InteriorConnectivity",
-    "LUFactors", "MatrixCertificate", "MeshError", "NonobtuseReport",
+    "MatrixCertificate", "MeshError", "NonobtuseReport",
     "ProblemCoefficients", "PropertyReport", "REFERENCE_VALUES", "SimplicialMesh",
     "SingularMatrixError", "__version__", "assemble", "build_csr", "catalog",
     "coefficients_from_json", "convergence_study", "element_table",

@@ -7,13 +7,13 @@ import pytest
 import eigenfem.assembly
 import eigenfem.mesh
 from eigenfem import (CATALOG_NAMES, ProblemCoefficients, assemble, catalog,
-                      export_triangle, generate_structured)
+                      export_triangle, generate_structured, rayleigh)
 from eigenfem.cli import main
 
 from oracles import eager_assemble
 from test_element_table import jittered_triangle_mesh, kuhn_cube
 
-MATRICES = ("A", "B", "B_lumped", "A_diffusion", "effective_reaction")
+MATRICES = ("A", "B", "B_lumped")
 
 
 @pytest.fixture
@@ -37,10 +37,14 @@ def build_csr_calls(monkeypatch):
     # lumped mass is a vector: A alone at each level
     (["converge", "--problem", "laplace", "--mesh", "mesh45", "--J", "5,9,17",
       "--mass", "lumped"], 0, 3),
-    # A, B, and the two Rayleigh forms the property suite reads
-    (["solve", "--problem", "laplace", "--mesh", "mesh45", "--J", "9", "--k", "3"], 0, 4),
-    (["solve", "--problem", "ex5_2", "--mesh", "mesh45", "--J", "9", "--k", "3"], 0, 4),
-], ids=["analyze", "converge", "converge-lumped", "solve", "solve-nonsymmetric"])
+    # A and B: the property suite's Rayleigh quotient reads the same pencil
+    (["solve", "--problem", "laplace", "--mesh", "mesh45", "--J", "9", "--k", "3"], 0, 2),
+    (["solve", "--problem", "ex5_2", "--mesh", "mesh45", "--J", "9", "--k", "3"], 0, 2),
+    # lumped mass: the quotient reads B_lumped, so A alone
+    (["solve", "--problem", "ex5_1", "--mesh", "mesh45", "--J", "9", "--k", "3",
+      "--mass", "lumped"], 0, 1),
+], ids=["analyze", "converge", "converge-lumped", "solve", "solve-nonsymmetric",
+        "solve-lumped"])
 def test_each_command_builds_what_it_reads(build_csr_calls, tmp_path, argv, exit_code, builds):
     assert main([*argv, "--out", str(tmp_path)]) == exit_code
     assert len(build_csr_calls) == builds
@@ -51,7 +55,7 @@ def test_matrices_built_on_first_read_and_kept(build_csr_calls):
     assert len(build_csr_calls) == 1
     for name in MATRICES:
         assert getattr(system, name) is getattr(system, name)
-    assert len(build_csr_calls) == 4        # B_lumped is a vector, not a CSR matrix
+    assert len(build_csr_calls) == 2        # B_lumped is a vector, not a CSR matrix
 
 
 @pytest.mark.parametrize("mesh_args", [
@@ -120,3 +124,18 @@ def test_lazy_matrices_match_eager_oracle_bytewise(case):
         system = assemble(mesh, coeffs)
         for name in order:
             assert _bytes(getattr(system, name)) == want[name], (case, name)
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_rayleigh_quotient_matches_split_functional(case):
+    # v' A v / v' B v against (v' A_D v + int (c - (1/2) div b) (v^h)^2) / v' B v,
+    # A_D the diffusion-only stiffness: the convection form is
+    # -(1/2) int div b (v^h)^2 exactly when b is affine, as in every case here
+    mesh, coeffs = CASES[case]()
+    eager = eager_assemble(mesh, coeffs)
+    system = assemble(mesh, coeffs)
+    rng = np.random.default_rng(97)
+    for v in (np.ones(system.n), rng.standard_normal(system.n)):
+        old = ((v @ (eager["A_diffusion"] @ v) + v @ (eager["effective_reaction"] @ v))
+               / (v @ (eager["B"] @ v)))
+        assert abs(rayleigh(system, v) - old) <= 1e-13 * abs(old), case

@@ -54,18 +54,18 @@ def test_lu_rejects_singular():
 
 
 def test_lu_factor_reconstruction():
-    # Pr A Pc = L U with the permutations held by the splu handle
+    # Pr A Pc = L U with the permutations and factors held by scipy's SuperLU
     rng = np.random.default_rng(29)
     n = 30
     A = sparse_random(n, n, density=0.2, random_state=29, format="csr")
     A = A + diags(np.full(n, 5.0))
     f = lu_factor(csr_matrix(A))
-    Pr = csc_matrix((np.ones(n), (f._handle.perm_r, np.arange(n))), shape=(n, n))
-    Pc = csc_matrix((np.ones(n), (np.arange(n), f._handle.perm_c)), shape=(n, n))
+    Pr = csc_matrix((np.ones(n), (f.perm_r, np.arange(n))), shape=(n, n))
+    Pc = csc_matrix((np.ones(n), (np.arange(n), f.perm_c)), shape=(n, n))
     lhs = (Pr @ A @ Pc).toarray()
     rhs = (f.L @ f.U).toarray()
     assert np.abs(lhs - rhs).max() <= 1e-10 * np.abs(A.toarray()).max()
-    assert np.abs(f.pivots).min() > 0
+    assert np.abs(f.U.diagonal()).min() > 0
 
 
 def test_hessenberg_eigen_diagonal():
