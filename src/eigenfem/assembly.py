@@ -33,24 +33,26 @@ class AssembledSystem:
     """Immutable interior-vertex pencil (A, B) and the element table it came from.
 
     assemble builds A.  B and B_lumped are built on first read from the
-    kept table in A's triplet order, so they are the same whichever is read
-    first.  lu is the one sparse LU of A, shared by the eigensolver and the
-    certificate; table is the ElementTable of (mesh, coeffs), which analyze
-    also hands to the mesh conditions.
+    kept table and interior index, in A's triplet order, so they are the
+    same whichever is read first.  lu is the one sparse LU of A, shared by
+    the eigensolver and the certificate; table is the ElementTable of
+    (mesh, coeffs), which analyze also hands to the mesh conditions.
+    symmetric is the problem's declared coeffs.is_symmetric (b == 0
+    identically), not a property sampled from A.
     """
 
     n: int
     A: csr_matrix
+    symmetric: bool
     table: ElementTable = field(repr=False)
     _index: np.ndarray = field(repr=False)      # interior index of each element vertex
-    _scatter: tuple = field(repr=False)         # rows, cols, keep of the local entries
 
     @cached_property
     def B(self) -> csr_matrix:
         """Consistent mass: |K|/((d+1)(d+2)) off the diagonal, twice that on it."""
         d1 = self._index.shape[1]
         mass_off = self.table.geom.volume * (1.0 / (d1 * (d1 + 1)))
-        rows, cols, keep = self._scatter
+        rows, cols, keep = _scatter(self._index)
         return build_csr(self.n, self.n, rows, cols,
                          (mass_off[:, None, None] * (1.0 + np.eye(d1)))[keep])
 
@@ -83,6 +85,18 @@ class AssembledSystem:
         return lu_factor(self.A)
 
 
+def _scatter(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows and columns of the kept local entries, and the keep mask over
+    the local (d+1) x (d+1) blocks: entries whose row and column vertices
+    are both interior.  assemble and AssembledSystem.B each compute them,
+    so the system keeps only idx."""
+    shape = idx.shape + idx.shape[-1:]
+    rows = np.broadcast_to(idx[:, :, None], shape)
+    cols = np.broadcast_to(idx[:, None, :], shape)
+    keep = (rows >= 0) & (cols >= 0)
+    return rows[keep], cols[keep], keep
+
+
 def assemble(mesh: SimplicialMesh, coeffs: ProblemCoefficients) -> AssembledSystem:
     """Assemble the stiffness matrix over interior vertices.
 
@@ -103,17 +117,14 @@ def assemble(mesh: SimplicialMesh, coeffs: ProblemCoefficients) -> AssembledSyst
     local_R = bary.T @ (bary * (w * t.reaction_q)[:, :, None])
 
     idx = mesh.interior_index[mesh.elements]
-    rows = np.broadcast_to(idx[:, :, None], local_D.shape)
-    cols = np.broadcast_to(idx[:, None, :], local_D.shape)
-    keep = (rows >= 0) & (cols >= 0)
-    rows, cols = rows[keep], cols[keep]
+    rows, cols, keep = _scatter(idx)
     n = mesh.n_interior
     return AssembledSystem(
         n=n,
         A=build_csr(n, n, rows, cols, (local_D + local_C + local_R)[keep]),
+        symmetric=coeffs.is_symmetric,
         table=t,
         _index=idx,
-        _scatter=(rows, cols, keep),
     )
 
 

@@ -259,7 +259,7 @@ def cmd_solve(args) -> int:
         print("solver failure: no eigenpair converged", file=sys.stderr)
         return EXIT_SOLVER
     cert = m_matrix_certificate(system.A, system.lu)
-    props = property_suite(sol, system, coeffs, cert)
+    props = property_suite(sol, system, cert)
 
     os.makedirs(args.out, exist_ok=True)
     rows = []

@@ -286,6 +286,13 @@ def catalog(name: str) -> ProblemCoefficients:
 # JSON descriptor: constant-coefficient user problems
 # ---------------------------------------------------------------------------
 
+def _holds_bool(value) -> bool:
+    """Whether a JSON value is a boolean or a list holding one at any depth."""
+    if isinstance(value, list):
+        return any(map(_holds_bool, value))
+    return isinstance(value, bool)
+
+
 def coefficients_from_json(text: str) -> ProblemCoefficients:
     """Build a constant-coefficient problem from a JSON descriptor.
 
@@ -302,6 +309,10 @@ def coefficients_from_json(text: str) -> ProblemCoefficients:
     for key in ("diffusion", "convection", "reaction"):
         if key not in payload:
             raise CoefficientError(f"coefficient JSON is missing field {key!r}")
+        if _holds_bool(payload[key]):
+            # numpy and float() read true and false as 1 and 0
+            raise CoefficientError(f"coefficient JSON field {key!r} holds a boolean, "
+                                   "not a number")
     try:
         D = np.asarray(payload["diffusion"], dtype=np.float64)
         b = np.asarray(payload["convection"], dtype=np.float64)

@@ -91,6 +91,22 @@ def simplex_geometry(X: np.ndarray) -> ElementGeometry:
     return ElementGeometry(volume, diameter, grads, normals, altitudes)
 
 
+def _spd_terms_2x2(D: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """max|D|, max|D - D'| and the smaller Cholesky pivot of (D + D') / 2 for
+    2 x 2 matrices D (..., 2, 2), entry by entry, with the values of the
+    general path.  The pivots follow LAPACK's unblocked recurrence
+    l00 = sqrt(s00), l10 = s10 * (1 / l00), l11 = sqrt(s11 - l10**2); where
+    one is not positive, as np.linalg.cholesky fails there, it is 0 or NaN."""
+    d00, d01, d10, d11 = D[..., 0, 0], D[..., 0, 1], D[..., 1, 0], D[..., 1, 1]
+    absmax = np.maximum(np.maximum(np.abs(d00), np.abs(d01)),
+                        np.maximum(np.abs(d10), np.abs(d11)))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        l00 = np.sqrt(0.5 * (d00 + d00))
+        l10 = (0.5 * (d10 + d01)) * (1.0 / l00)
+        pivot = np.minimum(l00, np.sqrt(0.5 * (d11 + d11) - l10 * l10))
+    return absmax, np.abs(d01 - d10), pivot
+
+
 def check_spd(D: np.ndarray, what: str = "diffusion matrix") -> np.ndarray:
     """Validate finiteness, symmetry (within 1e-12 relative) and positive
     definiteness (every Cholesky pivot above SPD_PIVOT_TOL * max|D|) of one
@@ -100,15 +116,23 @@ def check_spd(D: np.ndarray, what: str = "diffusion matrix") -> np.ndarray:
         raise CoefficientError(f"{what} must be square, got shape {D.shape}")
     if not np.isfinite(D).all():
         raise CoefficientError(f"{what} has non-finite entries")
-    DT = np.swapaxes(D, -1, -2)
-    absmax = np.abs(D).max(axis=(-2, -1))
-    if np.any(np.abs(D - DT).max(axis=(-2, -1)) > SYMMETRY_TOL * np.maximum(1.0, absmax)):
+    if D.shape[-1] == 2:
+        absmax, asym, pivot = _spd_terms_2x2(D)
+    else:
+        DT = np.swapaxes(D, -1, -2)
+        absmax = np.abs(D).max(axis=(-2, -1))
+        asym = np.abs(D - DT).max(axis=(-2, -1))
+        pivot = None
+    if np.any(asym > SYMMETRY_TOL * np.maximum(1.0, absmax)):
         raise CoefficientError(f"{what} is not symmetric")
-    try:
-        L = np.linalg.cholesky(0.5 * (D + DT))
-    except np.linalg.LinAlgError:
-        raise CoefficientError(f"{what} is not positive definite") from None
-    if np.any(np.diagonal(L, axis1=-2, axis2=-1).min(axis=-1) ** 2 <= SPD_PIVOT_TOL * absmax):
+    if pivot is None:
+        try:
+            L = np.linalg.cholesky(0.5 * (D + DT))
+        except np.linalg.LinAlgError:
+            raise CoefficientError(f"{what} is not positive definite") from None
+        pivot = np.diagonal(L, axis1=-2, axis2=-1).min(axis=-1)
+    # a NaN pivot fails the comparison too
+    if not np.all(pivot ** 2 > SPD_PIVOT_TOL * absmax):
         raise CoefficientError(f"{what} is not positive definite")
     return D
 

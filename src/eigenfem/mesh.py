@@ -69,7 +69,8 @@ class SimplicialMesh:
 
     @cached_property
     def edges(self) -> MeshEdges:
-        """Edge -> element incidence (mesh_edges), built on first read; the
+        """Edge -> element incidence (mesh_edges), built once: in 2D by the
+        boundary-flag check of from_arrays, in 3D on first read.  The
         Delaunay-type check and the connectivity check share it."""
         return mesh_edges(self)
 
@@ -110,7 +111,11 @@ class SimplicialMesh:
 
         X = vertices[elements]
         V = np.swapaxes(X[:, 1:] - X[:, :1], 1, 2)
-        det = np.linalg.det(V)
+        # only the orientation and degeneracy verdicts read det
+        if dim == 2:
+            det = V[:, 0, 0] * V[:, 1, 1] - V[:, 0, 1] * V[:, 1, 0]
+        else:
+            det = np.linalg.det(V)
         scale = np.prod(np.linalg.norm(V, axis=1), axis=1)
         degenerate = np.flatnonzero(np.abs(det) <= DEGENERATE_REL_TOL * np.maximum(scale, 1e-300))
         if degenerate.size:
@@ -163,27 +168,37 @@ def _check_duplicate_vertices(vertices: np.ndarray) -> None:
             raise MeshError(f"vertices {a} and {b} coincide within {DUPLICATE_TOL}")
 
 
-def _row_runs(rows: np.ndarray, *tiebreak: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _run_starts(change: np.ndarray, n: int) -> np.ndarray:
+    """Run starts of a sorted sequence of n items whose neighbours differ
+    where change holds, closed by n."""
+    return np.append(np.flatnonzero(np.concatenate(([n > 0], change))), n)
+
+
+def _row_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort the rows of an integer array lexicographically and group equal rows.
 
-    Equal rows are ordered by the tiebreak keys (first key primary), then by
-    position.  Returns (order, starts): rows[order] is sorted and its r-th
-    run of equal rows is rows[order][starts[r]:starts[r + 1]].
+    Equal rows keep their order.  Returns (order, starts): rows[order] is
+    sorted and its r-th run of equal rows is rows[order][starts[r]:starts[r + 1]].
     """
-    order = np.lexsort((*tiebreak[::-1], *rows.T[::-1]))
+    order = np.lexsort(rows.T[::-1])
     s = rows[order]
-    change = np.any(s[1:] != s[:-1], axis=1)
-    starts = np.flatnonzero(np.concatenate(([len(s) > 0], change)))
-    return order, np.append(starts, len(s))
+    return order, _run_starts(np.any(s[1:] != s[:-1], axis=1), len(s))
 
 
 def _check_boundary_flags(mesh: SimplicialMesh) -> None:
-    """Every vertex on a facet incident to a single element must be flagged."""
+    """Every vertex on a facet incident to a single element must be flagged.
+
+    In 2D the facets are the mesh edges, so the edge table is built here and
+    kept on the mesh; 3D sorts its triangular facets.
+    """
     d = mesh.dim
-    local = np.array(list(itertools.combinations(range(d + 1), d)))
-    facets = np.sort(mesh.elements, axis=1)[:, local].reshape(-1, d)
-    order, starts = _row_runs(facets)
-    facets, counts = facets[order[starts[:-1]]], np.diff(starts)
+    if d == 2:
+        facets, counts = mesh.edges.vertices, np.diff(mesh.edges.offsets)
+    else:
+        local = np.array(list(itertools.combinations(range(d + 1), d)))
+        facets = np.sort(mesh.elements, axis=1)[:, local].reshape(-1, d)
+        order, starts = _row_runs(facets)
+        facets, counts = facets[order[starts[:-1]]], np.diff(starts)
     shared = np.flatnonzero(counts > 2)
     if shared.size:
         f = shared[0]
@@ -251,12 +266,19 @@ class MeshEdges:
 
 
 def mesh_edges(mesh: SimplicialMesh) -> MeshEdges:
-    """Sorted edge -> element incidence of the mesh."""
+    """Sorted edge -> element incidence of the mesh.
+
+    One stable argsort of the key v0 * n_vertices + v1 of each sorted vertex
+    pair orders the pairs lexicographically.  The pairs are listed element
+    by element, so the copies of an edge stay in increasing element id.
+    """
     local = np.array(list(itertools.combinations(range(mesh.dim + 1), 2)))
     pairs = np.sort(mesh.elements[:, local], axis=-1).reshape(-1, 2)
-    elem = np.repeat(np.arange(mesh.n_elements), len(local))
-    order, starts = _row_runs(pairs, elem)
-    return MeshEdges(pairs[order[starts[:-1]]], starts, elem[order])
+    key = pairs[:, 0] * mesh.n_vertices + pairs[:, 1]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = _run_starts(key[1:] != key[:-1], len(key))
+    return MeshEdges(pairs[order[starts[:-1]]], starts, order // len(local))
 
 
 @dataclass(frozen=True)

@@ -77,7 +77,7 @@ def ex5_2_mesh45():
         cert = m_matrix_certificate(system.A)
         sol = solve_smallest(system, k=20)
         out[J] = (mesh, system, cert, sol,
-                  property_suite(sol, system, coeffs, cert))
+                  property_suite(sol, system, cert))
     return out
 
 
@@ -189,7 +189,7 @@ def test_criterion_5_certified_property_suite(capsys, ex5_2_mesh45):
             system = assemble(mesh, coeffs)
             cert = m_matrix_certificate(system.A)
             sol = solve_smallest(system, k=6)
-            props = property_suite(sol, system, coeffs, cert)
+            props = property_suite(sol, system, cert)
             cases.append((f"{name}/mesh45 J=41", coeffs, props))
         for J in (41, 81):
             cases.append((f"ex5_2/mesh45 J={J}", catalog("ex5_2"),
@@ -362,7 +362,7 @@ def test_criterion_8_imported_meshes(capsys):
         rec.check(cert.certified_irreducible_m_matrix,
                   "sheared mesh stiffness not a certified M-matrix")
         sol = solve_smallest(system, k=6)
-        props = property_suite(sol, system, coeffs, cert)
+        props = property_suite(sol, system, cert)
         full = (bool(props.principal_real) and bool(props.principal_simple)
                 and bool(props.sign_preserving) and bool(props.re_positive_all)
                 and bool(props.modulus_bound_all)
@@ -383,7 +383,7 @@ def test_criterion_8_imported_meshes(capsys):
                   "anisotropic stiffness unexpectedly certified")
         rec.check(not cert2.is_z_matrix, "expected positive off-diagonals")
         sol2 = solve_smallest(system2, k=6)
-        props2 = property_suite(sol2, system2, coeffs2, cert2)
+        props2 = property_suite(sol2, system2, cert2)
         rec.check(sol2.k_converged == 6,
                   f"only {sol2.k_converged} of 6 pairs converged")
         rec.check(props2.certificate_predicts is False,

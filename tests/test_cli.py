@@ -411,6 +411,26 @@ def test_malformed_json_descriptor_exit_one(tmp_path, capsys, payload):
     assert capsys.readouterr().err.startswith("error: coefficient JSON")
 
 
+@pytest.mark.parametrize("spec", [
+    {"diffusion": [[True, False], [False, True]], "convection": [False, False],
+     "reaction": True},
+    {**_GOOD_SPEC, "diffusion": [[1.0, False], [False, 1.0]]},
+    {**_GOOD_SPEC, "convection": [0.0, True]},
+    {**_GOOD_SPEC, "reaction": False},
+], ids=["all-boolean", "diffusion", "convection", "reaction"])
+def test_boolean_coefficient_exit_one(tmp_path, capsys, spec):
+    # numpy and float() read true and false as 1 and 0; JSON numbers they are not
+    text = json.dumps(spec)
+    with pytest.raises(eigenfem.CoefficientError, match="boolean"):
+        eigenfem.coefficients_from_json(text)
+    path = tmp_path / "prob.json"
+    path.write_text(text)
+    assert main(["solve", "--problem", str(path), "--mesh", "mesh45", "--J", "11",
+                 "--k", "1", "--out", str(tmp_path / "out")]) == 1
+    assert "boolean" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_solver_failure_exit_four(tmp_path, monkeypatch, capsys):
     # force a solver failure by patching solve_smallest to raise
     import eigenfem.cli as cli_mod

@@ -105,7 +105,7 @@ def test_principal_sign_preserving_certified_case():
     cert = m_matrix_certificate(s.A)
     assert cert.certified_irreducible_m_matrix
     sol = solve_smallest(s, k=6)
-    props = property_suite(sol, s, catalog("ex5_1"), cert)
+    props = property_suite(sol, s, cert)
     assert props.principal_real and props.principal_simple
     assert props.sign_preserving
     assert props.undershoot == 0.0
@@ -123,7 +123,7 @@ def test_sign_violation_detected_on_bad_mesh():
     cert = m_matrix_certificate(s.A)
     assert not cert.certified_irreducible_m_matrix
     sol = solve_smallest(s, k=4)
-    props = property_suite(sol, s, catalog("ex5_1"), cert)
+    props = property_suite(sol, s, cert)
     assert not props.certificate_predicts
     if props.principal_real:
         assert props.undershoot is not None
@@ -180,7 +180,7 @@ def test_no_interior_vertices_raises():
 def test_property_gap_undefined_with_one_pair():
     m, s = system_for("laplace", "mesh45", 9)
     sol = solve_smallest(s, k=1)
-    props = property_suite(sol, s, catalog("laplace"), None)
+    props = property_suite(sol, s, None)
     assert props.principal_simple is None
     assert props.modulus_gap is None
     assert props.principal_real
@@ -211,8 +211,10 @@ def test_krylov_dimension_validated_up_front():
     _, s = system_for("laplace", "mesh45", 21)   # n = 361
     with pytest.raises(ValueError):
         solve_smallest(s, k=0)
-    # ncv = min(max(2k + 1, 20), n) always exceeds ARPACK's bound k + 1
-    assert solve_smallest(s, k=1).krylov_dim == 20
+    # ncv = min(12, n) for k = 1 on a symmetric pencil, min(max(2k + 1, 20), n)
+    # otherwise: both always exceed ARPACK's bound k + 1
+    assert solve_smallest(s, k=1).krylov_dim == 12
+    assert solve_smallest(s, k=2).krylov_dim == 20
     # implicit restarts lift the old cap of 200 on the Krylov dimension
     sol = solve_smallest(s, k=200)
     assert len(sol.eigenvalues) == 200
@@ -221,6 +223,31 @@ def test_krylov_dimension_validated_up_front():
     _, small = system_for("laplace", "mesh45", 5)  # n = 9
     sol = solve_smallest(small, k=9)
     assert sol.k_converged == 9
+
+
+@pytest.mark.parametrize("mass", ["consistent", "lumped"])
+def test_symmetric_principal_solve_uses_a_short_basis(mass):
+    # ARPACK tests convergence once the basis is full: ncv + 1 LU solves at best
+    _, s = system_for("laplace", "mesh45", 21)
+    assert s.symmetric
+    sol = solve_smallest(s, k=1, mass=mass)
+    assert sol.krylov_dim == 12 and sol.n_solves <= 13
+    assert sol.converged.all()
+
+
+@pytest.mark.parametrize("k", [1, 6])
+def test_nonsymmetric_solve_keeps_the_default_basis(k):
+    _, s = system_for("ex5_2", "mesh45", 21)
+    assert not s.symmetric
+    assert solve_smallest(s, k=k).krylov_dim == 20
+
+
+def test_symmetric_flag_is_declared_not_sampled():
+    # the flag is coeffs.is_symmetric: ex5_3's convection is divergence-free
+    # but not zero, so its pencil counts as nonsymmetric
+    assert not system_for("ex5_3", "mesh45", 9)[1].symmetric
+    for name in ("laplace", "ex5_1", "ex5_4", "ex5_5k10", "ex5_5k100"):
+        assert system_for(name, "mesh135", 9)[1].symmetric, name
 
 
 def test_solve_needs_no_schur_form(monkeypatch):

@@ -7,7 +7,8 @@ import pytest
 
 from eigenfem import (CoefficientError, metric_altitudes, metric_angle_cosines,
                       quadrature_barycentric)
-from eigenfem.element_geometry import (angle_from_cos, check_spd, min_cosine,
+from eigenfem.element_geometry import (SPD_PIVOT_TOL, _spd_terms_2x2,
+                                       angle_from_cos, check_spd, min_cosine,
                                        simplex_geometry)
 
 from oracles import hat_function, integrate_on_triangle
@@ -193,6 +194,74 @@ def test_check_spd_rejects_non_finite(bad):
               np.stack([np.eye(2), np.array([[1.0, bad], [bad, 1.0]])])):
         with pytest.raises(CoefficientError, match="non-finite"):
             check_spd(D, "test")
+
+
+def _spd_candidates(n: int, seed: int) -> np.ndarray:
+    """n matrices (n, 2, 2) around the SPD boundary: [[a, b], [b, c]] with
+    b = rho sqrt(a c), a fifth with rho in (-1.2, 1.2), two fifths within
+    1e-17..1e-12 of |rho| = 1, a fifth with |rho| = 1, the rest |rho| < 1;
+    then some with equal entries, a negative or zero first pivot or a scale
+    of 1e-300 or 1e300, and a third made asymmetric by 1e-13 relative."""
+    rng = np.random.default_rng(seed)
+    m, k = n // 5, n // 40
+    a, c = np.exp(rng.normal(0.0, 3.0, (2, n)))
+    rho = np.concatenate([
+        rng.uniform(-1.2, 1.2, m),
+        rng.choice([-1.0, 1.0], 2 * m) * (1.0 - 10.0 ** rng.uniform(-17, -12, 2 * m)),
+        rng.choice([-1.0, 1.0], m),
+        rng.uniform(-1.0, 1.0, n - 4 * m)])
+    b = rho * np.sqrt(a * c)
+    D = np.stack([np.stack([a, b], -1), np.stack([b, c], -1)], -2)
+    rest = 4 * m + k * np.arange(6)
+    D[rest[0]:rest[1]] = np.exp(rng.normal(0.0, 3.0, k))[:, None, None]
+    D[rest[1]:rest[2], 0, 0] *= -1.0
+    D[rest[2]:rest[3], 0, 0] = 0.0
+    D[rest[3]:rest[4]] *= 1e-300
+    D[rest[4]:rest[5]] *= 1e300 / np.abs(D[rest[4]:rest[5]]).max(axis=(1, 2))[:, None, None]
+    skew = rng.random(n) < 0.3
+    D[skew, 0, 1] += rng.uniform(-1e-13, 1e-13, skew.sum()) * np.abs(D[skew]).max(axis=(1, 2))
+    D[:3] = [[[2.0, 2.0], [2.0, 2.0]], np.zeros((2, 2)), [[1.0, 1.0], [1.0, 1.0 + 1e-15]]]
+    return D
+
+
+def test_check_spd_2x2_verdicts_match_lapack_cholesky():
+    # the 2 x 2 recurrence against np.linalg.cholesky of the symmetric part,
+    # matrix by matrix, on 10^5 matrices near the SPD boundary
+    D = _spd_candidates(100_000, 11)
+    S = 0.5 * (D + np.swapaxes(D, 1, 2))
+    absmax = np.abs(D).max(axis=(1, 2))
+    want = np.zeros(len(D), dtype=bool)
+    for i, s in enumerate(S):
+        try:
+            L = np.linalg.cholesky(s)
+        except np.linalg.LinAlgError:
+            continue
+        want[i] = np.diagonal(L).min() ** 2 > SPD_PIVOT_TOL * absmax[i]
+    assert 0.3 < want.mean() < 0.7 and not want[:3].any()
+    absmax2, asym, pivot = _spd_terms_2x2(D)
+    assert absmax2.tobytes() == absmax.tobytes()
+    assert asym.tobytes() == np.abs(D - np.swapaxes(D, 1, 2)).max(axis=(1, 2)).tobytes()
+    assert np.array_equal(pivot ** 2 > SPD_PIVOT_TOL * absmax, want)
+    # the accepted pivots are LAPACK's, bit for bit: OpenBLAS and reference
+    # LAPACK both form l10 as s10 * (1 / l00)
+    lapack = np.diagonal(np.linalg.cholesky(S[want]), axis1=1, axis2=2).min(axis=1)
+    assert pivot[want].tobytes() == lapack.tobytes()
+    assert check_spd(D[want]) is not None
+    for d in D[~want][::50]:
+        with pytest.raises(CoefficientError, match="not positive definite"):
+            check_spd(d, "test")
+
+
+def test_check_spd_rejects_a_nan_pivot():
+    # the symmetric part overflows, so the last pivot is inf - inf = NaN;
+    # np.linalg.cholesky returns that NaN without raising
+    D = np.array([[8.45e307, 9.75e307], [9.75e307, 1.49e308]])
+    D3 = np.eye(3)
+    D3[:2, :2] = D
+    with np.errstate(over="ignore"):
+        for M in (D, D3):
+            with pytest.raises(CoefficientError, match="not positive definite"):
+                check_spd(M, "test")
 
 
 def test_quadrature_rule_degree_two():

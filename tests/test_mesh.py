@@ -1,5 +1,7 @@
 """Tests for mesh construction, validation, connectivity and file I/O."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from eigenfem.element_geometry import simplex_geometry
 from eigenfem.mesh import DUPLICATE_TOL, mesh_edges, parse_ele, parse_node
 
 from oracles import loop_parse_ele, loop_parse_node
+from test_element_table import jittered_triangle_mesh, kuhn_cube
 
 
 def test_structured_counts():
@@ -202,6 +205,57 @@ def test_row_runs_match_np_unique():
         np.testing.assert_array_equal(np.diff(e.offsets), counts)
     order, starts = _row_runs(np.zeros((0, 2), dtype=np.int64))
     assert order.size == 0 and starts.tolist() == [0]
+
+
+@pytest.mark.parametrize("case", ["mesh45", "mesh135", "jittered", "kuhn"])
+def test_edge_table_matches_three_key_lexsort(case):
+    # one stable argsort of v0 * n_vertices + v1 orders the edges as a
+    # lexsort by (v0, v1, element id) does
+    m = {"mesh45": lambda: generate_structured("mesh45", 9),
+         "mesh135": lambda: generate_structured("mesh135", 8),
+         "jittered": lambda: jittered_triangle_mesh(101, 17),
+         "kuhn": lambda: kuhn_cube(3)}[case]()
+    # a 2D mesh keeps the table its boundary check built; 3D builds it on read
+    assert ("edges" in vars(m)) == (m.dim == 2)
+    local = list(itertools.combinations(range(m.dim + 1), 2))
+    pairs = np.sort(m.elements[:, local], axis=-1).reshape(-1, 2)
+    elem = np.repeat(np.arange(m.n_elements), len(local))
+    order = np.lexsort((elem, pairs[:, 1], pairs[:, 0]))
+    s = pairs[order]
+    starts = np.append(np.flatnonzero(np.r_[True, np.any(s[1:] != s[:-1], axis=1)]), len(s))
+    e = mesh_edges(m)
+    assert e.vertices.tobytes() == s[starts[:-1]].tobytes()
+    assert e.offsets.tobytes() == starts.tobytes()
+    assert e.elements.tobytes() == elem[order].tobytes()
+
+
+def test_orientation_verdicts_match_lapack_determinant():
+    # the closed-form 2 x 2 determinant flips and rejects what np.linalg.det does
+    rng = np.random.default_rng(5)
+    n = 2000
+    verts = rng.uniform(-1.0, 1.0, (3 * n, 2))
+    elems = np.arange(3 * n).reshape(n, 3)
+    X = verts[elems]
+    det = np.linalg.det(np.swapaxes(X[:, 1:] - X[:, :1], 1, 2))
+    m = SimplicialMesh.from_arrays(2, verts, elems, np.ones(3 * n, dtype=bool))
+    want = elems.copy()
+    want[det < 0, 1:] = want[det < 0, 2:0:-1]
+    assert np.array_equal(m.elements, want)
+    # nearly collinear: degenerate below DEGENERATE_REL_TOL of the edge lengths
+    for offset, degenerate in ((1e-16, True), (1e-12, False)):
+        v = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5 + offset]])
+        if degenerate:
+            with pytest.raises(MeshError, match="degenerate"):
+                SimplicialMesh.from_arrays(2, v, [[0, 1, 2]], np.ones(3, dtype=bool))
+        else:
+            SimplicialMesh.from_arrays(2, v, [[0, 1, 2]], np.ones(3, dtype=bool))
+
+
+def test_facet_shared_by_three_triangles_named():
+    v = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.6, 2.0]])
+    with pytest.raises(MeshError, match=r"facet \(0, 1\) shared by 3 elements"):
+        SimplicialMesh.from_arrays(2, v, [[0, 1, 2], [1, 0, 3], [0, 1, 4]],
+                                   np.ones(5, dtype=bool))
 
 
 def test_from_arrays_rejects_degenerate_element():

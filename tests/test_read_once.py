@@ -1,6 +1,10 @@
 """Each command builds what it reads, once: the matrices of an assembled
 system on first read and the edge table of a mesh once per mesh."""
 
+import hashlib
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -63,6 +67,13 @@ def test_matrices_built_on_first_read_and_kept(build_csr_calls):
     ["--mesh", "import"],
 ], ids=["structured", "import"])
 def test_analyze_builds_the_edge_table_once(monkeypatch, tmp_path, mesh_args):
+    # written before counting starts: every 2D mesh builds its edge table
+    # when its boundary flags are checked, the fixture's meshes too
+    if mesh_args[1] == "import":
+        node, ele = tmp_path / "m.node", tmp_path / "m.ele"
+        for path, text in zip((node, ele), export_triangle(jittered_triangle_mesh(5, 9))):
+            path.write_text(text)
+        mesh_args = [*mesh_args, "--node", str(node), "--ele", str(ele)]
     calls = []
     real = eigenfem.mesh.mesh_edges
 
@@ -71,11 +82,6 @@ def test_analyze_builds_the_edge_table_once(monkeypatch, tmp_path, mesh_args):
         return real(mesh)
 
     monkeypatch.setattr(eigenfem.mesh, "mesh_edges", counting)
-    if mesh_args[1] == "import":
-        node, ele = tmp_path / "m.node", tmp_path / "m.ele"
-        for path, text in zip((node, ele), export_triangle(jittered_triangle_mesh(5, 9))):
-            path.write_text(text)
-        mesh_args = [*mesh_args, "--node", str(node), "--ele", str(ele)]
     assert main(["analyze", "--problem", "ex5_5k10", *mesh_args,
                  "--out", str(tmp_path / "out")]) == 3
     assert len(calls) == 1
@@ -139,3 +145,33 @@ def test_rayleigh_quotient_matches_split_functional(case):
         old = ((v @ (eager["A_diffusion"] @ v) + v @ (eager["effective_reaction"] @ v))
                / (v @ (eager["B"] @ v)))
         assert abs(rayleigh(system, v) - old) <= 1e-13 * abs(old), case
+
+
+DIGESTS = pathlib.Path(__file__).with_name("data") / "matrix_digests.json"
+
+
+def _digest(matrix) -> str:
+    """SHA-256 of the dtype, shape and bytes of a vector or of a CSR matrix's arrays."""
+    h = hashlib.sha256()
+    if isinstance(matrix, np.ndarray):
+        parts = (matrix.dtype.str, matrix.shape, matrix.tobytes())
+    else:
+        parts = (matrix.shape, matrix.data.dtype.str, matrix.data.tobytes(),
+                 matrix.indices.dtype.str, matrix.indices.tobytes(),
+                 matrix.indptr.dtype.str, matrix.indptr.tobytes())
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+    return h.hexdigest()
+
+
+def test_recorded_digests_cover_every_case():
+    assert set(json.loads(DIGESTS.read_text())["digests"]) == set(CASES)
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_matrices_match_recorded_digests(case):
+    # recorded from an earlier assembly, not from eager_assemble, which shares
+    # simplex_geometry and the element table with assemble
+    want = json.loads(DIGESTS.read_text())["digests"][case]
+    system = assemble(*CASES[case]())
+    assert {name: _digest(getattr(system, name)) for name in MATRICES} == want
