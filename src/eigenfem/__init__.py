@@ -15,15 +15,14 @@ from .coefficients import (CATALOG_NAMES, REFERENCE_VALUES, ElementTable,
                            element_table)
 from .eigensolver import (ConvergenceStudy, EigenSolution, PropertyReport,
                           convergence_study, property_suite, solve_smallest)
-from .element_geometry import (ElementGeometry, metric_altitudes,
-                               metric_angle_cosines, quadrature_barycentric)
+from .element_geometry import (ElementGeometry, metric_angle_cosines,
+                               quadrature_barycentric)
 from .errors import CoefficientError, EigenSolveError, MeshError, SingularMatrixError
 from .matrix_analysis import MatrixCertificate, m_matrix_certificate
 from .mesh import (InteriorConnectivity, SimplicialMesh, export_triangle,
                    generate_structured, import_mesh, interior_connectivity,
-                   load_triangle, mesh_spacing)
-from .mesh_conditions import (ConditionReport, DelaunayReport, EntryBoundReport,
-                              NonobtuseReport, entry_bound_report,
+                   load_triangle)
+from .mesh_conditions import (ConditionReport, DelaunayReport, NonobtuseReport,
                               evaluate_conditions)
 from .sparse_linalg import build_csr, lu_factor, solve
 
@@ -35,15 +34,13 @@ __all__ = [
     "coefficients_from_json", "ElementTable", "element_table",
     "ConvergenceStudy", "EigenSolution", "PropertyReport",
     "convergence_study", "property_suite", "solve_smallest",
-    "ElementGeometry", "metric_altitudes", "metric_angle_cosines",
-    "quadrature_barycentric",
+    "ElementGeometry", "metric_angle_cosines", "quadrature_barycentric",
     "CoefficientError", "EigenSolveError", "MeshError", "SingularMatrixError",
     "MatrixCertificate", "m_matrix_certificate",
     "InteriorConnectivity", "SimplicialMesh", "export_triangle",
     "generate_structured", "import_mesh", "interior_connectivity",
-    "load_triangle", "mesh_spacing",
-    "ConditionReport", "DelaunayReport", "EntryBoundReport", "NonobtuseReport",
-    "entry_bound_report", "evaluate_conditions",
+    "load_triangle",
+    "ConditionReport", "DelaunayReport", "NonobtuseReport", "evaluate_conditions",
     "build_csr", "lu_factor", "solve",
     "__version__",
 ]

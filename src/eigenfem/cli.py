@@ -195,7 +195,7 @@ def cmd_analyze(args) -> int:
     config = RunConfig("analyze", args.problem, args.mesh, J=args.J,
                        node=args.node, ele=args.ele, out=args.out)
     system = assemble(mesh, coeffs)
-    report = evaluate_conditions(mesh, coeffs, table=system.table)
+    report = evaluate_conditions(mesh, system.table)
     cert = m_matrix_certificate(system.A)
 
     os.makedirs(args.out, exist_ok=True)

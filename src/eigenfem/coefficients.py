@@ -80,26 +80,22 @@ class ElementTable:
     """Geometry and coefficient data of N elements, all held as arrays.
 
     D_K (N, d, d) is the quadrature average of the diffusion matrix over
-    each element and lambda_min_DK, lambda_max_DK (N) its extreme
-    eigenvalues; b_sup and c_sup (N) are sampled sup norms (quadrature
-    nodes plus vertices).  geom is the batch geometry.  quad_points
-    (N, q, d) and quad_weights (N, q) are the degree-2 rule, weights
-    including volumes; convection_q (N, q, d), reaction_q and divergence_q
-    (N, q) are the coefficients at those nodes.  Only the mesh conditions
+    each element and lambda_min_DK (N) its smallest eigenvalue; b_sup and
+    c_sup (N) are sampled sup norms (quadrature nodes plus vertices).  geom
+    is the batch geometry.  quad_weights (N, q) are the weights of the
+    degree-2 rule, volumes included; convection_q (N, q, d) and reaction_q
+    (N, q) are the coefficients at its nodes.  Only the mesh conditions
     read the metric angles, so cosines is computed on first use and kept.
     """
 
     D_K: np.ndarray
     lambda_min_DK: np.ndarray
-    lambda_max_DK: np.ndarray
     b_sup: np.ndarray
     c_sup: np.ndarray
     geom: ElementGeometry
-    quad_points: np.ndarray
     quad_weights: np.ndarray
     convection_q: np.ndarray
     reaction_q: np.ndarray
-    divergence_q: np.ndarray
 
     @cached_property
     def cosines(self) -> np.ndarray:
@@ -107,19 +103,16 @@ class ElementTable:
         return metric_angle_cosines(self.geom, self.D_K)
 
 
-def _sym_eig_range(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Extreme eigenvalues of a stack of small symmetric matrices.
+def _sym_eig_min(D: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each of a stack of small symmetric matrices.
 
     The 2x2 case uses the closed form so that constant-coefficient problems
     get exact values; 3x3 falls back to the symmetric eigensolver.
     """
     if D.shape[-2:] == (2, 2):
         a, b, c = D[..., 0, 0], D[..., 0, 1], D[..., 1, 1]
-        m = 0.5 * (a + c)
-        r = np.hypot(0.5 * (a - c), b)
-        return m - r, m + r
-    w = np.linalg.eigvalsh(D)
-    return w[..., 0], w[..., -1]
+        return 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
+    return np.linalg.eigvalsh(D)[..., 0]
 
 
 def _table(coeffs: ProblemCoefficients, X: np.ndarray) -> ElementTable:
@@ -131,7 +124,7 @@ def _table(coeffs: ProblemCoefficients, X: np.ndarray) -> ElementTable:
     nq = len(wref)  # samples below are the nodes followed by the vertices
 
     D_K = quadrature_average(w, _diffusion(coeffs, pts))
-    lam_min, lam_max = _sym_eig_range(D_K)
+    lam_min = _sym_eig_min(D_K)
     if not np.all(lam_min > 0.0):  # also catches NaN
         raise CoefficientError("element-averaged diffusion matrix is not PD")
 
@@ -146,10 +139,9 @@ def _table(coeffs: ProblemCoefficients, X: np.ndarray) -> ElementTable:
         raise CoefficientError(f"c - 0.5 div b = {eff[at]} < 0 at point {pts[at].tolist()}")
     b_norm = np.broadcast_to(np.linalg.norm(b_raw, axis=-1), b.shape[:-1])
     return ElementTable(
-        geom=geom, quad_points=pts, quad_weights=w,
-        convection_q=b[..., :nq, :], reaction_q=c[..., :nq], divergence_q=div_b,
-        D_K=D_K, lambda_min_DK=lam_min, lambda_max_DK=lam_max,
-        b_sup=b_norm.max(axis=-1), c_sup=np.broadcast_to(np.abs(c_raw), c.shape).max(axis=-1),
+        geom=geom, quad_weights=w, convection_q=b[..., :nq, :], reaction_q=c[..., :nq],
+        D_K=D_K, lambda_min_DK=lam_min, b_sup=b_norm.max(axis=-1),
+        c_sup=np.broadcast_to(np.abs(c_raw), c.shape).max(axis=-1),
     )
 
 

@@ -92,12 +92,15 @@ def solve_smallest(system: AssembledSystem, k: int, mass: str = "consistent",
     tol : relative residual target; a pair counts as converged when
         ||A v - lambda B v|| / ||v|| <= tol * (max|A| + |lambda| max|B|)
 
-    Raises ValueError when k < 1.  With k >= n - 1 the pencil is solved by
-    dense QZ.  If ARPACK stops before every pair converges, the pairs it
-    has are returned, flagged by the residual test.
+    Raises ValueError when k < 1 or tol is not finite and positive.  With
+    k >= n - 1 the pencil is solved by dense QZ.  If ARPACK stops before
+    every pair converges, the pairs it has are returned, flagged by the
+    residual test.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     n = system.n
     if n == 0:
         raise EigenSolveError("mesh has no interior vertices; nothing to solve")
@@ -294,13 +297,17 @@ def convergence_study(coeffs: ProblemCoefficients, mesh_kind: str, J_list,
                       tol: float = 1e-10) -> ConvergenceStudy:
     """Refinement study of lambda_1 on a family of structured meshes.
 
-    J_list must be strictly increasing with at least 3 entries.  The error
-    at each level is |lambda_1^h - reference| / reference (REFERENCE_VALUES
-    holds defaults for the catalog problems); observed_order
-    is the pairwise rate against the previous level and slope the least-
-    squares rate over all levels.  Expected rate for the P1 discretization
-    is 2 (consistent mass overshoots from above on these problems).
+    J_list must be strictly increasing with at least 3 entries, and the
+    reference finite and positive, as lambda_1 of these operators is; each
+    is a ValueError otherwise.  The error at each level is
+    |lambda_1^h - reference| / reference (REFERENCE_VALUES holds defaults
+    for the catalog problems); observed_order is the pairwise rate against
+    the previous level and slope the least-squares rate over all levels.
+    Expected rate for the P1 discretization is 2 (consistent mass
+    overshoots from above on these problems).
     """
+    if not (math.isfinite(reference) and reference > 0.0):
+        raise ValueError(f"reference eigenvalue must be finite and positive, got {reference}")
     J_list = [int(J) for J in J_list]
     if len(J_list) < 3:
         raise ValueError(f"need at least 3 refinement levels, got {len(J_list)}")

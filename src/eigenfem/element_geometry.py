@@ -1,4 +1,4 @@
-"""Per-element geometry: barycentric gradients, altitudes, metric angles.
+"""Per-element geometry: barycentric gradients, metric angles, quadrature.
 
 The dihedral angle between two faces of a simplex, measured in the geometry
 induced by the inverse of a constant SPD matrix D, is computed from the face
@@ -42,25 +42,11 @@ class ElementGeometry:
         Longest edge.
     grad_basis : (d+1, d) array
         Constant gradients of the barycentric (hat) basis functions.
-    inner_normals : (d+1, d) array
-        Unit face normals; row j is normal to the face opposite vertex j
-        and oriented so that grad_basis[j] == -inner_normals[j] / altitude[j].
-    altitudes_euclid : (d+1,) array
-        Euclidean distance from vertex j to its opposite face,
-        equal to 1 / |grad_basis[j]|.
     """
 
     volume: float | np.ndarray
     diameter: float | np.ndarray
     grad_basis: np.ndarray
-    inner_normals: np.ndarray
-    altitudes_euclid: np.ndarray
-
-
-def simplex_diameters(X: np.ndarray) -> np.ndarray:
-    """Longest edge of each simplex with vertex arrays X ((..., d+1, d))."""
-    a, b = np.triu_indices(X.shape[-2], 1)
-    return np.linalg.norm(X[..., a, :] - X[..., b, :], axis=-1).max(axis=-1)
 
 
 def simplex_geometry(X: np.ndarray) -> ElementGeometry:
@@ -80,15 +66,10 @@ def simplex_geometry(X: np.ndarray) -> ElementGeometry:
     # gradients are the rows of V^{-1}; lam_0 = 1 - sum of the others.
     Vinv = np.linalg.inv(V)
     grads = np.concatenate([-Vinv.sum(axis=-2, keepdims=True), Vinv], axis=-2)
-
-    norms = np.linalg.norm(grads, axis=-1)
-    altitudes = 1.0 / norms
-    normals = -grads / norms[..., None]
-    diameter = simplex_diameters(X)
-
-    for arr in (grads, normals, altitudes):
-        arr.setflags(write=False)
-    return ElementGeometry(volume, diameter, grads, normals, altitudes)
+    grads.setflags(write=False)
+    a, b = np.triu_indices(d + 1, 1)
+    diameter = np.linalg.norm(X[..., a, :] - X[..., b, :], axis=-1).max(axis=-1)
+    return ElementGeometry(volume, diameter, grads)
 
 
 def _spd_terms_2x2(D: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -143,9 +124,16 @@ def metric_angle_cosines(geom: ElementGeometry, D: np.ndarray) -> np.ndarray:
     Entry (j, k), j != k, is the cosine of the angle between faces j and k
     in the D^{-1} geometry; the diagonal is set to 1.  For a batch geometry
     and a stack of matrices D (..., d, d) the result is (..., d+1, d+1).
+
+    Row j of Q is the unit normal of the face opposite vertex j, oriented
+    so that grad_basis[j] == -Q[j] / altitude_j.  Q is built from the
+    normalized gradients, not the raw ones: cosines of raw gradients round
+    differently, and the tie verdicts of the mesh conditions read the last
+    bits.
     """
     D = check_spd(D)
-    Q = geom.inner_normals
+    g = geom.grad_basis
+    Q = -g / np.linalg.norm(g, axis=-1)[..., None]
     G = Q @ D @ np.swapaxes(Q, -1, -2)
     s = np.sqrt(np.diagonal(G, axis1=-2, axis2=-1))
     C = -G / (s[..., :, None] * s[..., None, :])
@@ -164,19 +152,6 @@ def min_cosine(C: np.ndarray) -> np.ndarray:
     the cosine of each element's largest angle."""
     j, k = np.triu_indices(C.shape[-1], 1)
     return C[..., j, k].min(axis=-1)
-
-
-def metric_altitudes(geom: ElementGeometry, D: np.ndarray) -> np.ndarray:
-    """Altitudes of the element in the D^{-1} geometry.
-
-    The altitude from vertex j scales like the Euclidean one divided by the
-    length of the unit gradient direction under D, so that the stiffness
-    identity below holds exactly.  Batches work as in metric_angle_cosines.
-    """
-    D = check_spd(D)
-    Q = geom.inner_normals
-    stretch = np.sqrt(np.einsum("...jd,...de,...je->...j", Q, D, Q))
-    return geom.altitudes_euclid / stretch
 
 
 # ---------------------------------------------------------------------------

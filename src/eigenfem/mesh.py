@@ -14,7 +14,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .element_geometry import simplex_diameters
 from .errors import MeshError
 
 # Vertices closer than this are treated as duplicates on ingestion.
@@ -69,9 +68,8 @@ class SimplicialMesh:
 
     @cached_property
     def edges(self) -> MeshEdges:
-        """Edge -> element incidence (mesh_edges), built once: in 2D by the
-        boundary-flag check of from_arrays, in 3D on first read.  The
-        Delaunay-type check and the connectivity check share it."""
+        """Edge -> element incidence (mesh_edges), built on first read and
+        kept.  The Delaunay-type check and the connectivity check share it."""
         return mesh_edges(self)
 
     @classmethod
@@ -186,19 +184,13 @@ def _row_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_boundary_flags(mesh: SimplicialMesh) -> None:
-    """Every vertex on a facet incident to a single element must be flagged.
-
-    In 2D the facets are the mesh edges, so the edge table is built here and
-    kept on the mesh; 3D sorts its triangular facets.
-    """
+    """Every vertex on a facet incident to a single element must be flagged,
+    and no facet may be shared by more than two elements."""
     d = mesh.dim
-    if d == 2:
-        facets, counts = mesh.edges.vertices, np.diff(mesh.edges.offsets)
-    else:
-        local = np.array(list(itertools.combinations(range(d + 1), d)))
-        facets = np.sort(mesh.elements, axis=1)[:, local].reshape(-1, d)
-        order, starts = _row_runs(facets)
-        facets, counts = facets[order[starts[:-1]]], np.diff(starts)
+    local = np.array(list(itertools.combinations(range(d + 1), d)))
+    facets = np.sort(mesh.elements, axis=1)[:, local].reshape(-1, d)
+    order, starts = _row_runs(facets)
+    facets, counts = facets[order[starts[:-1]]], np.diff(starts)
     shared = np.flatnonzero(counts > 2)
     if shared.size:
         f = shared[0]
@@ -466,8 +458,3 @@ def export_triangle(mesh: SimplicialMesh) -> tuple[str, str]:
         out.append(f"{k + 1} {a + 1} {b + 1} {c + 1}")
     ele_text = "\n".join(out) + "\n"
     return node_text, ele_text
-
-
-def mesh_spacing(mesh: SimplicialMesh) -> float:
-    """Largest element diameter (the mesh size h)."""
-    return float(simplex_diameters(mesh.vertices[mesh.elements]).max(initial=0.0))

@@ -25,13 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import ElementTable, ProblemCoefficients, element_table
-from .element_geometry import (ANGLE_CLAMP, angle_from_cos, metric_altitudes,
-                               min_cosine)
+from .coefficients import ElementTable
+from .element_geometry import ANGLE_CLAMP, angle_from_cos, min_cosine
 from .mesh import SimplicialMesh, interior_connectivity
 
-# Slack used when comparing assembled entries against their analytic bounds.
-BOUND_SLACK = 1e-10
 DOMINATED = "convection/reaction dominates at this h"
 # Angles and angle sums within TIE_TOL (radians) of their bound are ties,
 # graded weak only: rounded grid coordinates put a right angle a few ulp
@@ -185,13 +182,18 @@ def _delaunay(mesh: SimplicialMesh, t: ElementTable) -> DelaunayReport:
                           bool(weak.all()), bool(strict.all()))
 
 
-def evaluate_conditions(mesh: SimplicialMesh, coeffs: ProblemCoefficients, *,
-                        table: ElementTable | None = None) -> ConditionReport:
-    """Run both mesh conditions and interior connectivity in one pass, on
-    element_table(mesh, coeffs) unless a table is passed."""
-    t = element_table(mesh, coeffs) if table is None else table
-    nob = _nonobtuse(mesh, t)
-    dela = _delaunay(mesh, t) if mesh.dim == 2 else None
+def evaluate_conditions(mesh: SimplicialMesh, table: ElementTable) -> ConditionReport:
+    """Run both mesh conditions and interior connectivity in one pass on the
+    element table of the mesh (element_table(mesh, coeffs), or the table of
+    its assembled system).
+
+    Raises ValueError when the table does not hold one entry per element.
+    """
+    if len(table.D_K) != mesh.n_elements:
+        raise ValueError(f"element table holds {len(table.D_K)} elements, "
+                         f"the mesh {mesh.n_elements}")
+    nob = _nonobtuse(mesh, table)
+    dela = _delaunay(mesh, table) if mesh.dim == 2 else None
     return ConditionReport(
         nonobtuse=nob,
         delaunay=dela,
@@ -203,70 +205,3 @@ def evaluate_conditions(mesh: SimplicialMesh, coeffs: ProblemCoefficients, *,
         delaunay_strict=dela and dela.passed_strict,
         interiorly_connected=interior_connectivity(mesh).connected,
     )
-
-
-# ---------------------------------------------------------------------------
-# per-entry bounds on the assembled off-diagonals
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EntryBoundReport:
-    """Assembled entries and analytic bounds, one array entry per edge with
-    two interior endpoints (E, 2); bound_2d is NaN in 3D."""
-
-    edges: np.ndarray
-    a_jk: np.ndarray
-    a_kj: np.ndarray
-    bound_general: np.ndarray
-    bound_2d: np.ndarray
-    violated: np.ndarray
-
-
-def entry_bound_report(mesh: SimplicialMesh, coeffs: ProblemCoefficients,
-                       system) -> EntryBoundReport:
-    """Check assembled off-diagonal entries against their analytic bounds.
-
-    For each mesh edge whose endpoints are both interior vertices, the
-    entry a_jk (and a_kj) is bounded by a patch sum involving the worst
-    metric angle per element, and in 2D additionally by the sharper
-    cotangent form.  Violations indicate an assembly or geometry bug, not
-    a mesh-quality problem.
-    """
-    t, edges, d = element_table(mesh, coeffs), mesh.edges, mesh.dim
-    n_edges = len(edges.vertices)
-
-    # General bound: a sum over the patch of each edge, one term per element.
-    h = t.geom.diameter
-    term = (-min_cosine(t.cosines)
-            + h * t.b_sup / ((d + 1) * t.lambda_min_DK)
-            + h * h * t.c_sup / ((d + 1) * (d + 2) * t.lambda_min_DK))
-    alt = metric_altitudes(t.geom, t.D_K)
-    edge_of = np.repeat(np.arange(n_edges), np.diff(edges.offsets))
-    el, (j, k) = edges.elements, edges.vertices[edge_of].T
-    per_incidence = (t.geom.volume[el] / (alt[el, _local(mesh, el, j)]
-                                          * alt[el, _local(mesh, el, k)]) * term[el])
-    bound_gen = np.bincount(edge_of, weights=per_incidence, minlength=n_edges)
-
-    bound_2d = np.full(n_edges, np.nan)
-    if d == 2:
-        internal, K, Kp, cK, cKp = _internal_edges(mesh, t)
-        sqrt_det = np.sqrt(np.linalg.det(t.D_K))
-        bound_2d[internal] = (
-            -0.5 * sqrt_det[K] * _cot_from_cos(cK)
-            - 0.5 * sqrt_det[Kp] * _cot_from_cos(cKp)
-            + h[K] * t.b_sup[K] / (d + 1)
-            + h[K] * h[K] * t.c_sup[K] / ((d + 1) * (d + 2))
-            + h[Kp] * t.b_sup[Kp] / (d + 1)
-            + h[Kp] * h[Kp] * t.c_sup[Kp] / ((d + 1) * (d + 2))
-        )
-
-    ends = mesh.interior_index[edges.vertices]
-    inner = np.flatnonzero(np.all(ends >= 0, axis=1))
-    ij, ik = ends[inner, 0], ends[inner, 1]
-    a_jk = np.asarray(system.A[ij, ik]).ravel()
-    a_kj = np.asarray(system.A[ik, ij]).ravel()
-    a_max = np.maximum(a_jk, a_kj)
-    gen, b2 = bound_gen[inner], bound_2d[inner]
-    violated = a_max > gen + BOUND_SLACK * np.maximum(1.0, np.abs(gen))
-    violated |= a_max > b2 + BOUND_SLACK * np.maximum(1.0, np.abs(b2))
-    return EntryBoundReport(edges.vertices[inner], a_jk, a_kj, gen, b2, violated)

@@ -29,6 +29,10 @@ Everything here deliberately avoids the code paths under test:
   inverse, never a sparse LU or the semipositivity test;
 * perron_oracle finds the Perron pair of A^{-1} B from a dense inverse
   and power iteration, never a sparse LU or ARPACK.
+
+entry_bound_report and metric_altitudes are not oracles: they check the
+assembled off-diagonal entries against the analytic bounds the mesh
+conditions rest on, which no command runs.
 """
 
 from __future__ import annotations
@@ -41,8 +45,9 @@ import numpy as np
 import scipy.linalg
 
 from eigenfem.coefficients import element_table
-from eigenfem.element_geometry import quadrature_barycentric
+from eigenfem.element_geometry import min_cosine, quadrature_barycentric
 from eigenfem.errors import MeshError, SingularMatrixError
+from eigenfem.mesh_conditions import _cot_from_cos, _internal_edges, _local
 from eigenfem.sparse_linalg import build_csr
 
 
@@ -290,7 +295,10 @@ def eager_assemble(mesh, coeffs) -> dict:
     local_D = vol[:, None, None] * (G @ t.D_K @ GT)
     local_C = np.swapaxes(bary * w[:, :, None], -1, -2) @ (t.convection_q @ GT)
     local_R = bary.T @ (bary * (w * t.reaction_q)[:, :, None])
-    local_eff = bary.T @ (bary * (w * (t.reaction_q - 0.5 * t.divergence_q))[:, :, None])
+    pts = bary @ mesh.vertices[mesh.elements]
+    div_b = np.broadcast_to(np.asarray(coeffs.convection_divergence(pts), dtype=np.float64),
+                            w.shape)
+    local_eff = bary.T @ (bary * (w * (t.reaction_q - 0.5 * div_b))[:, :, None])
     local_A = local_D + local_C + local_R
     mass_off = vol * (1.0 / ((d + 1) * (d + 2)))
     local_B = mass_off[:, None, None] * (1.0 + np.eye(d + 1))
@@ -399,6 +407,92 @@ def loop_delaunay(mesh, coeffs) -> list[tuple]:
         val = lhs(theta)
         out.append((edge, (K, Kp), val, theta, lhs(0.0), val <= math.pi, val < math.pi))
     return out
+
+
+# ---------------------------------------------------------------------------
+# per-entry bounds on the assembled off-diagonals
+# ---------------------------------------------------------------------------
+
+# Slack used when comparing assembled entries against their analytic bounds.
+BOUND_SLACK = 1e-10
+
+
+def metric_altitudes(geom, D: np.ndarray) -> np.ndarray:
+    """Altitudes of the element in the D^{-1} geometry.
+
+    The altitude from vertex j is the Euclidean one, 1 / |grad_basis[j]|,
+    divided by the length of the unit gradient direction under D, so that
+    grad phi_j . D grad phi_k == -cos(alpha_jk) / (h_j,D h_k,D).  Batches
+    work as in metric_angle_cosines.
+    """
+    g = geom.grad_basis
+    norms = np.linalg.norm(g, axis=-1)
+    Q = g / norms[..., None]
+    stretch = np.sqrt(np.einsum("...jd,...de,...je->...j", Q, D, Q))
+    return (1.0 / norms) / stretch
+
+
+@dataclass(frozen=True)
+class EntryBoundReport:
+    """Assembled entries and analytic bounds, one array entry per edge with
+    two interior endpoints (E, 2); bound_2d is NaN in 3D."""
+
+    edges: np.ndarray
+    a_jk: np.ndarray
+    a_kj: np.ndarray
+    bound_general: np.ndarray
+    bound_2d: np.ndarray
+    violated: np.ndarray
+
+
+def entry_bound_report(mesh, system) -> EntryBoundReport:
+    """Check the assembled off-diagonal entries of system (assembled on
+    mesh) against their analytic bounds.
+
+    For each mesh edge whose endpoints are both interior vertices, the
+    entry a_jk (and a_kj) is bounded by a patch sum involving the worst
+    metric angle per element, and in 2D additionally by the sharper
+    cotangent form.  Violations indicate an assembly or geometry bug, not
+    a mesh-quality problem.
+    """
+    t, edges, d = system.table, mesh.edges, mesh.dim
+    n_edges = len(edges.vertices)
+
+    # General bound: a sum over the patch of each edge, one term per element.
+    h = t.geom.diameter
+    term = (-min_cosine(t.cosines)
+            + h * t.b_sup / ((d + 1) * t.lambda_min_DK)
+            + h * h * t.c_sup / ((d + 1) * (d + 2) * t.lambda_min_DK))
+    alt = metric_altitudes(t.geom, t.D_K)
+    edge_of = np.repeat(np.arange(n_edges), np.diff(edges.offsets))
+    el, (j, k) = edges.elements, edges.vertices[edge_of].T
+    per_incidence = (t.geom.volume[el] / (alt[el, _local(mesh, el, j)]
+                                          * alt[el, _local(mesh, el, k)]) * term[el])
+    bound_gen = np.bincount(edge_of, weights=per_incidence, minlength=n_edges)
+
+    bound_2d = np.full(n_edges, np.nan)
+    if d == 2:
+        internal, K, Kp, cK, cKp = _internal_edges(mesh, t)
+        sqrt_det = np.sqrt(np.linalg.det(t.D_K))
+        bound_2d[internal] = (
+            -0.5 * sqrt_det[K] * _cot_from_cos(cK)
+            - 0.5 * sqrt_det[Kp] * _cot_from_cos(cKp)
+            + h[K] * t.b_sup[K] / (d + 1)
+            + h[K] * h[K] * t.c_sup[K] / ((d + 1) * (d + 2))
+            + h[Kp] * t.b_sup[Kp] / (d + 1)
+            + h[Kp] * h[Kp] * t.c_sup[Kp] / ((d + 1) * (d + 2))
+        )
+
+    ends = mesh.interior_index[edges.vertices]
+    inner = np.flatnonzero(np.all(ends >= 0, axis=1))
+    ij, ik = ends[inner, 0], ends[inner, 1]
+    a_jk = np.asarray(system.A[ij, ik]).ravel()
+    a_kj = np.asarray(system.A[ik, ij]).ravel()
+    a_max = np.maximum(a_jk, a_kj)
+    gen, b2 = bound_gen[inner], bound_2d[inner]
+    violated = a_max > gen + BOUND_SLACK * np.maximum(1.0, np.abs(gen))
+    violated |= a_max > b2 + BOUND_SLACK * np.maximum(1.0, np.abs(b2))
+    return EntryBoundReport(edges.vertices[inner], a_jk, a_kj, gen, b2, violated)
 
 
 # ---------------------------------------------------------------------------

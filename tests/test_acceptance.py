@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 from eigenfem import (CATALOG_NAMES, REFERENCE_VALUES, assemble, catalog,
-                      coefficients_from_json, convergence_study, evaluate_conditions,
-                      generate_structured, import_mesh,
+                      coefficients_from_json, convergence_study, element_table,
+                      evaluate_conditions, generate_structured, import_mesh,
                       export_triangle, lu_factor, m_matrix_certificate,
                       property_suite, solve_smallest, SimplicialMesh)
 from eigenfem.sparse_linalg import solve as lu_solve
@@ -140,7 +140,8 @@ def test_criterion_3_angle_aggregates(capsys):
     with criterion(capsys, 3) as rec:
         got = {}
         for kind, (amax_t, asum_t) in targets.items():
-            rep = evaluate_conditions(generate_structured(kind, 9), coeffs)
+            mesh = generate_structured(kind, 9)
+            rep = evaluate_conditions(mesh, element_table(mesh, coeffs))
             got[kind] = (rep.alpha_max_metric, rep.alpha_sum_metric)
             rec.check(abs(rep.alpha_max_metric - amax_t) <= 5e-3 * math.pi,
                       f"{kind} alpha_max {rep.alpha_max_metric / math.pi:.4f}pi "
@@ -293,7 +294,7 @@ def test_criterion_7_condition_certificate_chain(capsys):
         n_strict = 0
         for coeffs, label, kind, J in combos:
             mesh = generate_structured(kind, J)
-            rep = evaluate_conditions(mesh, coeffs)
+            rep = evaluate_conditions(mesh, element_table(mesh, coeffs))
             rec.check(rep.strict_pass,
                       f"{label}/{kind} J={J} fails the strict conditions")
             cert = m_matrix_certificate(assemble(mesh, coeffs).A)
@@ -311,7 +312,7 @@ def test_criterion_7_condition_certificate_chain(capsys):
             for kind in ("mesh45", "mesh135"):
                 for J in (5, 9, 17):
                     mesh = generate_structured(kind, J)
-                    rep = evaluate_conditions(mesh, coeffs)
+                    rep = evaluate_conditions(mesh, element_table(mesh, coeffs))
                     if not rep.strict_pass:
                         continue
                     cert = m_matrix_certificate(assemble(mesh, coeffs).A)
@@ -355,7 +356,7 @@ def test_criterion_8_imported_meshes(capsys):
         node_text, ele_text = export_triangle(_sheared_acute_mesh())
         mesh = import_mesh(node_text, ele_text)
         coeffs = catalog("ex5_3")
-        rep = evaluate_conditions(mesh, coeffs)
+        rep = evaluate_conditions(mesh, element_table(mesh, coeffs))
         rec.check(rep.strict_pass, "sheared mesh fails the strict conditions")
         system = assemble(mesh, coeffs)
         cert = m_matrix_certificate(system.A)

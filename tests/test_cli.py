@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import eigenfem
-from eigenfem import (catalog, evaluate_conditions, export_triangle,
+from eigenfem import (catalog, element_table, evaluate_conditions, export_triangle,
                       generate_structured, load_triangle)
 from eigenfem.cli import main, write_vtk
 from eigenfem.mesh_conditions import DOMINATED
@@ -71,7 +71,7 @@ def test_analyze_csv_round_trip(tmp_path, problem, kind, J, dominated):
         argv = ["--mesh", "import", "--node", str(node), "--ele", str(ele)]
     out = tmp_path / "out"
     assert run(["analyze", "--problem", problem, *argv, "--out", str(out)]) in (0, 2, 3)
-    rep = evaluate_conditions(mesh, catalog(problem))
+    rep = evaluate_conditions(mesh, element_table(mesh, catalog(problem)))
 
     nob = rep.nonobtuse
     header, rows = _read_csv(out / "per_element.csv")
@@ -302,6 +302,37 @@ def test_converge_bad_J_list(tmp_path):
     code = run(["converge", "--problem", "laplace", "--mesh", "mesh45",
                 "--J", "9,5", "--out", str(tmp_path)])
     assert code == 1
+
+
+@pytest.mark.parametrize("ref", ["0", "-19.7", "nan", "inf"])
+def test_converge_bad_reference_exit_one(tmp_path, capsys, ref):
+    # lambda_1 of these operators is real and positive: a reference of 0
+    # printed rel_error=inf and order nan, and exited 0
+    code = run(["converge", "--problem", "laplace", "--mesh", "mesh45", "--J", "5,9,17",
+                "--ref", ref, "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "reference eigenvalue must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--J", "9", "--tol", "nan"],
+    ["solve", "--J", "9", "--tol", "-1"],
+    ["solve", "--J", "9", "--tol", "0"],
+    ["solve", "--J", "9", "--tol", "inf"],
+    ["converge", "--J", "5,9,17", "--tol", "0"],
+    ["converge", "--J", "5,9,17", "--tol", "nan"],
+], ids=["solve-nan", "solve-negative", "solve-zero", "solve-inf", "converge-zero",
+        "converge-nan"])
+def test_bad_tolerance_exit_one(tmp_path, capsys, argv):
+    # a tolerance no residual can meet is a configuration error (exit 1), not
+    # a solver failure (exit 4); inf would count every pair converged
+    command, *rest = argv
+    code = run([command, "--problem", "laplace", "--mesh", "mesh45", *rest,
+                "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "tol must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_converge_json_problem(tmp_path, capsys):

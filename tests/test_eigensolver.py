@@ -207,6 +207,19 @@ def test_convergence_study_validates_input():
         convergence_study(catalog("laplace"), "mesh45", [21, 11, 41], 1.0)
 
 
+@pytest.mark.parametrize("ref", [0.0, -2.0 * math.pi ** 2, math.nan, math.inf])
+def test_convergence_study_rejects_a_non_positive_reference(ref):
+    with pytest.raises(ValueError, match="finite and positive"):
+        convergence_study(catalog("laplace"), "mesh45", [5, 9, 17], ref)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+def test_solve_smallest_rejects_a_bad_tolerance(tol):
+    _, s = system_for("laplace", "mesh45", 9)
+    with pytest.raises(ValueError, match="finite and positive"):
+        solve_smallest(s, k=1, tol=tol)
+
+
 def test_krylov_dimension_validated_up_front():
     _, s = system_for("laplace", "mesh45", 21)   # n = 361
     with pytest.raises(ValueError):

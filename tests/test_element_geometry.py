@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from eigenfem import (CoefficientError, metric_altitudes, metric_angle_cosines,
-                      quadrature_barycentric)
+from eigenfem import CoefficientError, metric_angle_cosines, quadrature_barycentric
 from eigenfem.element_geometry import (SPD_PIVOT_TOL, _spd_terms_2x2,
                                        angle_from_cos, check_spd, min_cosine,
                                        simplex_geometry)
 
-from oracles import hat_function, integrate_on_triangle
+from oracles import hat_function, integrate_on_triangle, metric_altitudes
 
 RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -19,6 +18,16 @@ RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 def metric_angle(g, D, j, k):
     """Angle between faces j and k of the simplex in the D^{-1} geometry."""
     return float(angle_from_cos(metric_angle_cosines(g, D)[j, k]))
+
+
+def altitude(X, j):
+    """Euclidean distance from vertex j to the affine hull of the opposite
+    face, from the coordinates alone: the part of X[j] - X[k] orthogonal
+    to the face's edge vectors."""
+    k, *rest = [i for i in range(len(X)) if i != j]
+    F = (X[rest] - X[k]).T
+    v = X[j] - X[k]
+    return float(np.linalg.norm(v - F @ np.linalg.lstsq(F, v, rcond=None)[0]))
 
 
 def test_right_triangle_geometry():
@@ -43,21 +52,25 @@ def test_gradient_partition_of_unity():
 
 
 def test_gradient_altitude_identity():
-    # grad phi_j = -q_j / (h_j |q_j|) with q_j the unit inner normal of the
-    # face opposite vertex j and h_j the Euclidean altitude; since q_j is a
-    # unit vector this reads grad phi_j = -q_j / h_j... and q_j points away
-    # from vertex j, so -q_j/h_j points toward it with magnitude 1/h_j.
+    # grad phi_j is normal to the face opposite vertex j, points from it
+    # toward vertex j (phi_j rises from 0 to 1) and has length 1 / h_j, with
+    # h_j the altitude computed from the coordinates
     rng = np.random.default_rng(4)
-    for _ in range(20):
-        X = rng.standard_normal((3, 2)) * 2.0
-        V = np.column_stack([X[1] - X[0], X[2] - X[0]])
-        if np.linalg.det(V) < 1e-2:
-            continue
-        g = simplex_geometry(X)
-        for j in range(3):
-            lhs = g.grad_basis[j]
-            rhs = -g.inner_normals[j] / g.altitudes_euclid[j]
-            assert np.allclose(lhs, rhs, atol=1e-10)
+    for d in (2, 3):
+        tested = 0
+        for _ in range(40):
+            X = rng.standard_normal((d + 1, d)) * 2.0
+            if np.linalg.det((X[1:] - X[0]).T) < 1e-2:
+                continue
+            tested += 1
+            g = simplex_geometry(X)
+            for j in range(d + 1):
+                grad = g.grad_basis[j]
+                k, *rest = [i for i in range(d + 1) if i != j]
+                assert np.abs((X[rest] - X[k]) @ grad).max() <= 1e-10 * np.linalg.norm(grad)
+                assert abs(grad @ (X[j] - X[k]) - 1.0) <= 1e-10
+                assert abs(np.linalg.norm(grad) * altitude(X, j) - 1.0) <= 1e-10
+        assert tested >= 10
 
 
 def test_euclidean_angles_right_triangle():
@@ -164,7 +177,7 @@ def test_metric_altitude_bounds():
         g = simplex_geometry(X)
         alt = metric_altitudes(g, D)
         for j in range(3):
-            h = g.altitudes_euclid[j]
+            h = altitude(X, j)
             assert h / math.sqrt(lam[-1]) - 1e-12 <= alt[j]
             assert alt[j] <= h / math.sqrt(lam[0]) + 1e-12
 

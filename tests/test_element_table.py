@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import eigenfem.coefficients
 from eigenfem import (SimplicialMesh, assemble, catalog, coefficients_from_json,
                       convergence_study, element_table, evaluate_conditions,
                       export_triangle, generate_structured, import_mesh,
-                      mesh_spacing, metric_angle_cosines, solve_smallest)
+                      metric_angle_cosines, quadrature_barycentric, solve_smallest)
 from eigenfem.cli import main
 from eigenfem.element_geometry import simplex_geometry
 
@@ -85,7 +86,7 @@ def test_table_matches_loop_oracle(case):
     for name in problems:
         coeffs = catalog(name)
         _check_matrices(mesh, coeffs)
-        rep = evaluate_conditions(mesh, coeffs)
+        rep = evaluate_conditions(mesh, element_table(mesh, coeffs))
         _check_elements(rep.nonobtuse, mesh, coeffs)
         ref, d = loop_delaunay(mesh, coeffs), rep.delaunay
         assert len(d.lhs) == len(ref)
@@ -102,7 +103,8 @@ def test_table_matches_loop_oracle_3d():
         '{"diffusion": [[3.0, 1.0, 0.5], [1.0, 2.0, 0.2], [0.5, 0.2, 1.5]], '
         '"convection": [1.0, -2.0, 0.5], "reaction": 0.7}')
     _check_matrices(mesh, coeffs)
-    _check_elements(evaluate_conditions(mesh, coeffs).nonobtuse, mesh, coeffs)
+    rep = evaluate_conditions(mesh, element_table(mesh, coeffs))
+    _check_elements(rep.nonobtuse, mesh, coeffs)
 
 
 def test_table_shapes():
@@ -110,7 +112,7 @@ def test_table_shapes():
     t = element_table(mesh, catalog("ex5_3"))
     N = mesh.n_elements
     assert t.geom.grad_basis.shape == (N, 3, 2)
-    assert t.quad_points.shape == (N, 3, 2) and t.quad_weights.shape == (N, 3)
+    assert t.quad_weights.shape == (N, 3)
     assert t.convection_q.shape == (N, 3, 2) and t.reaction_q.shape == (N, 3)
     assert t.D_K.shape == (N, 2, 2) and t.cosines.shape == (N, 3, 3)
     assert abs(t.geom.volume.sum() - 1.0) <= 1e-14
@@ -145,8 +147,13 @@ def test_mesh_spacing_is_largest_diameter_bitwise(case):
             "mesh135": lambda: generate_structured("mesh135", 41),
             "jittered": lambda: jittered_triangle_mesh(11),
             "kuhn": lambda: kuhn_cube(3)}[case]()
-    h = simplex_geometry(mesh.vertices[mesh.elements]).diameter.max()
-    assert np.float64(mesh_spacing(mesh)).tobytes() == h.tobytes()
+    # the mesh spacing h that convergence_study reports, the largest element
+    # diameter of the table, is the longest edge found edge by edge in floats
+    X = mesh.vertices[mesh.elements]
+    longest = max(math.sqrt(sum(float(t) * float(t) for t in x[a] - x[b]))
+                  for x in X for a, b in itertools.combinations(range(len(x)), 2))
+    h = simplex_geometry(X).diameter.max()
+    assert h.tobytes() == np.float64(longest).tobytes()
 
 
 @pytest.mark.parametrize("name", ["laplace", "ex5_2", "ex5_4", "ex5_5k10", "variable_b_c"])
@@ -157,8 +164,8 @@ def test_coefficient_stats_match_broadcast_reference_bitwise(name):
     else:
         coeffs = catalog(name)
     for mesh in (generate_structured("mesh135", 17), jittered_triangle_mesh(3)):
-        t = element_table(mesh, coeffs)
-        ref = broadcast_coefficient_stats(coeffs, t.quad_points, t.quad_weights,
-                                          mesh.vertices[mesh.elements])
+        t, X = element_table(mesh, coeffs), mesh.vertices[mesh.elements]
+        ref = broadcast_coefficient_stats(coeffs, quadrature_barycentric(2)[0] @ X,
+                                          t.quad_weights, X)
         for got, want in zip((t.D_K, t.b_sup, t.c_sup), ref):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -7,7 +7,7 @@ import pytest
 
 from eigenfem import (MeshError, SimplicialMesh, export_triangle,
                       generate_structured, import_mesh, interior_connectivity,
-                      load_triangle, mesh_spacing)
+                      load_triangle)
 from eigenfem.element_geometry import simplex_geometry
 from eigenfem.mesh import DUPLICATE_TOL, mesh_edges, parse_ele, parse_node
 
@@ -215,8 +215,8 @@ def test_edge_table_matches_three_key_lexsort(case):
          "mesh135": lambda: generate_structured("mesh135", 8),
          "jittered": lambda: jittered_triangle_mesh(101, 17),
          "kuhn": lambda: kuhn_cube(3)}[case]()
-    # a 2D mesh keeps the table its boundary check built; 3D builds it on read
-    assert ("edges" in vars(m)) == (m.dim == 2)
+    # no mesh builds its edge table before it is read
+    assert "edges" not in vars(m)
     local = list(itertools.combinations(range(m.dim + 1), 2))
     pairs = np.sort(m.elements[:, local], axis=-1).reshape(-1, 2)
     elem = np.repeat(np.arange(m.n_elements), len(local))
@@ -288,8 +288,9 @@ def test_mesh_arrays_are_readonly():
 
 def test_mesh_spacing():
     m = generate_structured("mesh45", 5)
-    # longest edge is the cell diagonal
-    assert abs(mesh_spacing(m) - np.sqrt(2.0) / 4.0) <= 1e-14
+    # the mesh size h, the largest element diameter, is the cell diagonal
+    h = simplex_geometry(m.vertices[m.elements]).diameter.max()
+    assert abs(h - np.sqrt(2.0) / 4.0) <= 1e-14
 
 
 def test_triangle_roundtrip(tmp_path):

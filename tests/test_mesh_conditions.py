@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 from eigenfem import (SimplicialMesh, assemble, catalog, coefficients_from_json,
-                      entry_bound_report, evaluate_conditions,
-                      generate_structured, m_matrix_certificate)
+                      element_table, evaluate_conditions, generate_structured,
+                      m_matrix_certificate)
+
+from oracles import entry_bound_report
+
+
+def _conditions(mesh, coeffs):
+    return evaluate_conditions(mesh, element_table(mesh, coeffs))
 
 
 def test_laplace_mesh45_exact_values():
@@ -15,7 +21,7 @@ def test_laplace_mesh45_exact_values():
     # Delaunay lhs <= pi with the diagonal edges attaining pi exactly
     m = generate_structured("mesh45", 5)
     c = catalog("laplace")
-    rep = evaluate_conditions(m, c)
+    rep = _conditions(m, c)
     assert abs(rep.alpha_max_metric - math.pi / 2) <= 1e-12
     assert abs(rep.alpha_sum_metric - math.pi) <= 1e-12
     assert rep.nonobtuse_weak and not rep.nonobtuse_strict
@@ -31,7 +37,7 @@ def test_laplace_rounding_ties_grade_weak(kind):
     # every J must still give a weak pass and no strict pass
     c = catalog("laplace")
     for J in range(3, 65):
-        rep = evaluate_conditions(generate_structured(kind, J), c)
+        rep = _conditions(generate_structured(kind, J), c)
         verdicts = (rep.nonobtuse_weak, rep.nonobtuse_strict,
                     rep.delaunay_weak, rep.delaunay_strict)
         assert verdicts == (True, False, True, False), (kind, J, verdicts)
@@ -41,8 +47,8 @@ def test_ex5_1_metric_angle_aggregates():
     # anisotropic D = [[10,9],[9,10]]: the mesh45 grid is nearly metric
     # nonobtuse while mesh135 is badly obtuse in the metric
     c = catalog("ex5_1")
-    rep45 = evaluate_conditions(generate_structured("mesh45", 3), c)
-    rep135 = evaluate_conditions(generate_structured("mesh135", 3), c)
+    rep45 = _conditions(generate_structured("mesh45", 3), c)
+    rep135 = _conditions(generate_structured("mesh135", 3), c)
     assert abs(rep45.alpha_max_metric - 0.42823 * math.pi) <= 5e-3 * math.pi
     assert abs(rep45.alpha_sum_metric - 0.85645 * math.pi) <= 5e-3 * math.pi
     assert abs(rep135.alpha_max_metric - 0.85644 * math.pi) <= 5e-3 * math.pi
@@ -55,8 +61,8 @@ def test_aggregates_scale_invariant():
     # pure-diffusion aggregates do not depend on mesh resolution for a
     # constant-coefficient problem on a self-similar structured family
     c = catalog("ex5_1")
-    r1 = evaluate_conditions(generate_structured("mesh45", 3), c)
-    r2 = evaluate_conditions(generate_structured("mesh45", 9), c)
+    r1 = _conditions(generate_structured("mesh45", 3), c)
+    r2 = _conditions(generate_structured("mesh45", 9), c)
     assert abs(r1.alpha_max_metric - r2.alpha_max_metric) <= 1e-12
     assert abs(r1.alpha_sum_metric - r2.alpha_sum_metric) <= 1e-12
 
@@ -66,11 +72,11 @@ def test_nonobtuse_rhs_shrinks_with_convection():
     # back toward pi/2 as h -> 0; on very coarse meshes the strong
     # convection of ex5_2 dominates entirely (argument > 1, bound NaN)
     c = catalog("ex5_2")
-    rep_dom = evaluate_conditions(generate_structured("mesh45", 5), c).nonobtuse
+    rep_dom = _conditions(generate_structured("mesh45", 5), c).nonobtuse
     assert np.isnan(rep_dom.rhs_bound).all()
     assert not rep_dom.passed_weak
-    rep_coarse = evaluate_conditions(generate_structured("mesh45", 41), c).nonobtuse
-    rep_fine = evaluate_conditions(generate_structured("mesh45", 81), c).nonobtuse
+    rep_coarse = _conditions(generate_structured("mesh45", 41), c).nonobtuse
+    rep_fine = _conditions(generate_structured("mesh45", 81), c).nonobtuse
     b_coarse = rep_coarse.rhs_bound.min()
     b_fine = rep_fine.rhs_bound.min()
     assert b_coarse < b_fine < math.pi / 2
@@ -82,7 +88,7 @@ def test_nonobtuse_dominated_case():
     c = coefficients_from_json(
         '{"label": "dominated", "diffusion": [[1.0, 0.0], [0.0, 1.0]], '
         '"convection": [1000.0, 0.0], "reaction": 0.0}')
-    rep = evaluate_conditions(generate_structured("mesh45", 3), c).nonobtuse
+    rep = _conditions(generate_structured("mesh45", 3), c).nonobtuse
     assert not rep.passed_weak and not rep.passed_strict
     flagged = np.isnan(rep.rhs_bound)
     assert flagged.any() and not (rep.pass_weak | rep.pass_strict)[flagged].any()
@@ -92,7 +98,7 @@ def test_delaunay_reduces_to_euclidean_for_identity():
     # with D = I, b = 0, c = 0 the Delaunay-type lhs is the classic sum of
     # facing angles (each arccot(cot a) = a)
     m = generate_structured("mesh45", 4)
-    rep = evaluate_conditions(m, catalog("laplace")).delaunay
+    rep = _conditions(m, catalog("laplace")).delaunay
     for (j, k), (K, Kp), lhs in zip(rep.edges.tolist(), rep.elements.tolist(), rep.lhs):
         # recompute facing angles directly from coordinates
         total = 0.0
@@ -115,7 +121,7 @@ def test_delaunay_is_2d_only():
     c3 = coefficients_from_json(
         '{"diffusion": [[1.0,0,0],[0,1.0,0],[0,0,1.0]], '
         '"convection": [0,0,0], "reaction": 0}')
-    rep = evaluate_conditions(m, c3)
+    rep = _conditions(m, c3)
     assert rep.delaunay is None and rep.alpha_sum_metric is None
     assert rep.delaunay_weak is None and rep.delaunay_strict is None
 
@@ -127,7 +133,7 @@ def test_entry_bounds_hold_across_catalog():
         for kind in ("mesh45", "mesh135"):
             m = generate_structured(kind, 7)
             s = assemble(m, c)
-            rep = entry_bound_report(m, c, s)
+            rep = entry_bound_report(m, s)
             assert len(rep.edges), f"no interior edges found for {name}/{kind}"
             bad = rep.edges[rep.violated]
             assert not len(bad), f"{name}/{kind}: {bad[:3]}"
@@ -139,7 +145,7 @@ def test_entry_bounds_laplace_values():
     m = generate_structured("mesh45", 5)
     c = catalog("laplace")
     s = assemble(m, c)
-    rep = entry_bound_report(m, c, s)
+    rep = entry_bound_report(m, s)
     h = 0.25
     dx = np.abs(m.vertices[rep.edges[:, 0]] - m.vertices[rep.edges[:, 1]]) / h
     axis = np.isclose(np.sort(dx, axis=1), [0.0, 1.0]).all(axis=1)
@@ -160,10 +166,17 @@ def test_theorem_chain():
         for kind in ("mesh45", "mesh135"):
             for J in (5, 9):
                 m = generate_structured(kind, J)
-                rep = evaluate_conditions(m, c)
+                rep = _conditions(m, c)
                 if rep.strict_pass:
                     cert = m_matrix_certificate(assemble(m, c).A)
                     assert cert.certified_irreducible_m_matrix, (
                         f"{name}/{kind}/J={J}: strict mesh pass but matrix "
                         f"certificate failed")
 
+
+
+def test_conditions_reject_a_table_of_another_mesh():
+    c = catalog("laplace")
+    table = element_table(generate_structured("mesh45", 5), c)
+    with pytest.raises(ValueError, match="element table holds 32 elements, the mesh 72"):
+        evaluate_conditions(generate_structured("mesh45", 7), table)

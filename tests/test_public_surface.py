@@ -7,15 +7,14 @@ import eigenfem
 PUBLIC = [
     "AssembledSystem", "CATALOG_NAMES", "CoefficientError", "ConditionReport",
     "ConvergenceStudy", "DelaunayReport", "EigenSolution", "EigenSolveError",
-    "ElementGeometry", "ElementTable", "EntryBoundReport", "InteriorConnectivity",
+    "ElementGeometry", "ElementTable", "InteriorConnectivity",
     "MatrixCertificate", "MeshError", "NonobtuseReport",
     "ProblemCoefficients", "PropertyReport", "REFERENCE_VALUES", "SimplicialMesh",
     "SingularMatrixError", "__version__", "assemble", "build_csr", "catalog",
     "coefficients_from_json", "convergence_study", "element_table",
-    "entry_bound_report", "evaluate_conditions", "export_triangle",
+    "evaluate_conditions", "export_triangle",
     "generate_structured", "import_mesh", "interior_connectivity", "load_triangle",
-    "lu_factor", "m_matrix_certificate", "mesh_spacing", "metric_altitudes",
-    "metric_angle_cosines", "property_suite", "quadrature_barycentric", "rayleigh",
+    "lu_factor", "m_matrix_certificate", "metric_angle_cosines", "property_suite", "quadrature_barycentric", "rayleigh",
     "solve", "solve_smallest",
 ]
 

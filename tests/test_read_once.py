@@ -1,5 +1,7 @@
 """Each command builds what it reads, once: the matrices of an assembled
-system on first read and the edge table of a mesh once per mesh."""
+system on first read and the edge table of a mesh only where the mesh
+conditions read it.  Recorded digests pin the matrices and the metric
+cosines bit for bit."""
 
 import hashlib
 import json
@@ -11,7 +13,7 @@ import pytest
 import eigenfem.assembly
 import eigenfem.mesh
 from eigenfem import (CATALOG_NAMES, ProblemCoefficients, assemble, catalog,
-                      export_triangle, generate_structured, rayleigh)
+                      element_table, export_triangle, generate_structured, rayleigh)
 from eigenfem.cli import main
 
 from oracles import eager_assemble
@@ -62,18 +64,8 @@ def test_matrices_built_on_first_read_and_kept(build_csr_calls):
     assert len(build_csr_calls) == 2        # B_lumped is a vector, not a CSR matrix
 
 
-@pytest.mark.parametrize("mesh_args", [
-    ["--mesh", "mesh45", "--J", "9"],
-    ["--mesh", "import"],
-], ids=["structured", "import"])
-def test_analyze_builds_the_edge_table_once(monkeypatch, tmp_path, mesh_args):
-    # written before counting starts: every 2D mesh builds its edge table
-    # when its boundary flags are checked, the fixture's meshes too
-    if mesh_args[1] == "import":
-        node, ele = tmp_path / "m.node", tmp_path / "m.ele"
-        for path, text in zip((node, ele), export_triangle(jittered_triangle_mesh(5, 9))):
-            path.write_text(text)
-        mesh_args = [*mesh_args, "--node", str(node), "--ele", str(ele)]
+@pytest.fixture
+def mesh_edges_calls(monkeypatch):
     calls = []
     real = eigenfem.mesh.mesh_edges
 
@@ -82,9 +74,33 @@ def test_analyze_builds_the_edge_table_once(monkeypatch, tmp_path, mesh_args):
         return real(mesh)
 
     monkeypatch.setattr(eigenfem.mesh, "mesh_edges", counting)
+    return calls
+
+
+@pytest.mark.parametrize("mesh_args", [
+    ["--mesh", "mesh45", "--J", "9"],
+    ["--mesh", "import"],
+], ids=["structured", "import"])
+def test_analyze_builds_the_edge_table_once(mesh_edges_calls, tmp_path, mesh_args):
+    if mesh_args[1] == "import":
+        node, ele = tmp_path / "m.node", tmp_path / "m.ele"
+        for path, text in zip((node, ele), export_triangle(jittered_triangle_mesh(5, 9))):
+            path.write_text(text)
+        mesh_args = [*mesh_args, "--node", str(node), "--ele", str(ele)]
     assert main(["analyze", "--problem", "ex5_5k10", *mesh_args,
                  "--out", str(tmp_path / "out")]) == 3
-    assert len(calls) == 1
+    assert len(mesh_edges_calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "ex5_2", "--mesh", "mesh45", "--J", "9", "--k", "3"],
+    ["solve", "--problem", "laplace", "--mesh", "mesh135", "--J", "9", "--k", "1"],
+    ["converge", "--problem", "laplace", "--mesh", "mesh45", "--J", "5,9,17"],
+], ids=["solve", "solve-symmetric", "converge"])
+def test_solve_and_converge_build_no_edge_table(mesh_edges_calls, tmp_path, argv):
+    # neither reads the mesh conditions or the connectivity check
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert mesh_edges_calls == []
 
 
 def _variable_3d() -> ProblemCoefficients:
@@ -148,6 +164,7 @@ def test_rayleigh_quotient_matches_split_functional(case):
 
 
 DIGESTS = pathlib.Path(__file__).with_name("data") / "matrix_digests.json"
+COSINE_DIGESTS = DIGESTS.with_name("cosine_digests.json")
 
 
 def _digest(matrix) -> str:
@@ -166,6 +183,7 @@ def _digest(matrix) -> str:
 
 def test_recorded_digests_cover_every_case():
     assert set(json.loads(DIGESTS.read_text())["digests"]) == set(CASES)
+    assert set(json.loads(COSINE_DIGESTS.read_text())["digests"]) == set(CASES)
 
 
 @pytest.mark.parametrize("case", list(CASES))
@@ -175,3 +193,12 @@ def test_matrices_match_recorded_digests(case):
     want = json.loads(DIGESTS.read_text())["digests"][case]
     system = assemble(*CASES[case]())
     assert {name: _digest(getattr(system, name)) for name in MATRICES} == want
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_cosines_match_recorded_digests(case):
+    # the tie verdicts of the mesh conditions read the last bits of the
+    # metric cosines, so those are pinned as recorded from an earlier table
+    want = json.loads(COSINE_DIGESTS.read_text())["digests"][case]
+    mesh, coeffs = CASES[case]()
+    assert _digest(element_table(mesh, coeffs).cosines) == want
